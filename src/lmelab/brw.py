@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .engine import block_mean_se, ols, parent_pairs
 from .streams import DOMAIN_BRW, derive_stream
 
 __all__ = [
@@ -76,10 +77,6 @@ class BrwPool:
     D_values: np.ndarray | None = None
     X_max_values: np.ndarray | None = None
 
-    def block_views(self, which: str = "M") -> list[np.ndarray]:
-        arr = {"M": self.M_values, "D": self.D_values, "X": self.X_max_values}[which]
-        return np.split(arr, self.blocks)
-
 
 class Verdict(Enum):
     STABLE = "STABLE"
@@ -109,15 +106,13 @@ def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
     """M' = (1/2) e^{beta V1 - beta^2/2} M[i] + (1/2) e^{beta V2 - beta^2/2} M[j],
     parents resampled with replacement within each replica block."""
     shift = -0.5 * beta * beta
-    out = []
-    for blk, rng in zip(pool.block_views("M"), rngs):
-        p = blk.size
-        i = rng.integers(0, p, p)
-        j = rng.integers(0, p, p)
-        a1 = 0.5 * np.exp(beta * rng.standard_normal(p) + shift)
-        a2 = 0.5 * np.exp(beta * rng.standard_normal(p) + shift)
-        out.append(a1 * blk[i] + a2 * blk[j])
-    return BrwPool(n=pool.n + 1, M_values=np.concatenate(out), blocks=pool.blocks)
+    m = pool.M_values
+    out = np.empty_like(m)
+    for sl, i, j, rng in parent_pairs(m.size, rngs):
+        a1 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
+        a2 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
+        out[sl] = a1 * m[i] + a2 * m[j]
+    return BrwPool(n=pool.n + 1, M_values=out, blocks=pool.blocks)
 
 
 def step_derivative(pool: BrwPool, rngs) -> BrwPool:
@@ -128,56 +123,42 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
     if pool.D_values is None:
         raise ValueError("pool does not carry derivative values")
     shift = -0.5 * BETA_C * BETA_C
-    out_m, out_d = [], []
-    for blk_m, blk_d, rng in zip(
-        pool.block_views("M"), pool.block_views("D"), rngs
-    ):
-        p = blk_m.size
-        i = rng.integers(0, p, p)
-        j = rng.integers(0, p, p)
-        v1 = rng.standard_normal(p)
-        v2 = rng.standard_normal(p)
+    m, d = pool.M_values, pool.D_values
+    out_m, out_d = np.empty_like(m), np.empty_like(d)
+    for sl, i, j, rng in parent_pairs(m.size, rngs):
+        v1 = rng.standard_normal(i.size)
+        v2 = rng.standard_normal(i.size)
         a1 = 0.5 * np.exp(BETA_C * v1 + shift)
         a2 = 0.5 * np.exp(BETA_C * v2 + shift)
-        out_m.append(a1 * blk_m[i] + a2 * blk_m[j])
-        out_d.append(
-            a1 * ((BETA_C - v1) * blk_m[i] + blk_d[i])
-            + a2 * ((BETA_C - v2) * blk_m[j] + blk_d[j])
+        out_m[sl] = a1 * m[i] + a2 * m[j]
+        out_d[sl] = (
+            a1 * ((BETA_C - v1) * m[i] + d[i])
+            + a2 * ((BETA_C - v2) * m[j] + d[j])
         )
-    return BrwPool(
-        n=pool.n + 1,
-        M_values=np.concatenate(out_m),
-        blocks=pool.blocks,
-        D_values=np.concatenate(out_d),
-    )
+    return BrwPool(n=pool.n + 1, M_values=out_m, blocks=pool.blocks, D_values=out_d)
 
 
 def step_max(pool: BrwPool, rngs) -> BrwPool:
     """X' = max(V1 + X[i], V2 + X[j])."""
     if pool.X_max_values is None:
         raise ValueError("pool does not carry maximum values")
-    out = []
-    for blk, rng in zip(pool.block_views("X"), rngs):
-        p = blk.size
-        i = rng.integers(0, p, p)
-        j = rng.integers(0, p, p)
-        x1 = rng.standard_normal(p) + blk[i]
-        x2 = rng.standard_normal(p) + blk[j]
-        out.append(np.maximum(x1, x2))
+    x = pool.X_max_values
+    out = np.empty_like(x)
+    for sl, i, j, rng in parent_pairs(x.size, rngs):
+        x1 = rng.standard_normal(i.size) + x[i]
+        x2 = rng.standard_normal(i.size) + x[j]
+        np.maximum(x1, x2, out=out[sl])
     return BrwPool(
         n=pool.n + 1,
         M_values=pool.M_values,
         blocks=pool.blocks,
-        X_max_values=np.concatenate(out),
+        X_max_values=out,
     )
 
 
-def _mean_se(pool: BrwPool, which: str = "M", transform=None) -> tuple[float, float]:
-    views = pool.block_views(which)
-    if transform is not None:
-        views = [transform(v) for v in views]
-    m = np.array([v.mean() for v in views])
-    return float(m.mean()), float(m.std(ddof=1) / math.sqrt(len(views)))
+def _mean_se(values: np.ndarray, blocks: int) -> tuple[float, float]:
+    _, mean, se = block_mean_se(values, blocks)
+    return mean, se
 
 
 def run_cascade(params: BrwParams, *, record_square: bool = True) -> dict:
@@ -186,13 +167,13 @@ def run_cascade(params: BrwParams, *, record_square: bool = True) -> dict:
     rec = {"n": [], "mean": [], "se": [], "median": [], "m2": [], "m2_se": []}
 
     def note(pool):
-        mean, se = _mean_se(pool)
+        mean, se = _mean_se(pool.M_values, pool.blocks)
         rec["n"].append(pool.n)
         rec["mean"].append(mean)
         rec["se"].append(se)
         rec["median"].append(float(np.median(pool.M_values)))
         if record_square:
-            m2, m2_se = _mean_se(pool, transform=lambda v: v**2)
+            m2, m2_se = _mean_se(pool.M_values**2, pool.blocks)
             rec["m2"].append(m2)
             rec["m2_se"].append(m2_se)
 
@@ -211,8 +192,8 @@ def run_derivative(params: BrwParams) -> dict:
     rec = {"n": [], "d_mean": [], "d_se": [], "d_median": [], "m_mean": [], "m_se": []}
     for step_index in range(params.depth):
         pool = step_derivative(pool, _block_rngs(params, step_index))
-        d_mean, d_se = _mean_se(pool, "D")
-        m_mean, m_se = _mean_se(pool, "M")
+        d_mean, d_se = _mean_se(pool.D_values, pool.blocks)
+        m_mean, m_se = _mean_se(pool.M_values, pool.blocks)
         rec["n"].append(pool.n)
         rec["d_mean"].append(d_mean)
         rec["d_se"].append(d_se)
@@ -239,10 +220,9 @@ def run_max(params: BrwParams, *, fit_from: int = 10) -> dict:
     ns_arr = np.array(ns, dtype=float)
     med = np.array(medians)
     design = np.vstack([np.ones_like(ns_arr), ns_arr, np.log(ns_arr)]).T
-    coef, *_ = np.linalg.lstsq(design, med, rcond=None)
-    resid = med - BETA_C * ns_arr
+    coef, _, _ = ols(design, med)
     design2 = np.vstack([np.ones_like(ns_arr), np.log(ns_arr)]).T
-    coef2, *_ = np.linalg.lstsq(design2, resid, rcond=None)
+    coef2, _, _ = ols(design2, med - BETA_C * ns_arr)
     return {
         "n": ns,
         "median": medians,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theta
+from .engine import _checkpoints
 from .streams import DOMAIN_CHAIN, DOMAIN_PATHSUM, derive_stream
 
 __all__ = [
@@ -194,16 +195,6 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
     return state
 
 
-def _flow_checkpoints(n_max: int) -> list[int]:
-    pts = []
-    n = 1
-    while n < n_max:
-        pts.append(n)
-        n *= 2
-    pts.append(n_max)
-    return sorted(set(pts))
-
-
 def run_flow(params: RgParams) -> dict:
     """Full flow to n_max, averaged over replicas.
 
@@ -212,7 +203,7 @@ def run_flow(params: RgParams) -> dict:
     2 rho(0) (b/m)^a and the calibration beta_m = 2 rho_hat(0) E|v|;
     overall the overlap fraction among rotations.
     """
-    marks = _flow_checkpoints(params.n_max)
+    marks = _checkpoints(params.n_max)
     out = {
         "n": marks,
         "mean_lnP": {q: np.zeros(len(marks)) for q in params.q_list},

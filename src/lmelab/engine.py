@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +33,13 @@ __all__ = [
     "PaleyZygmund",
     "exact_Tn",
     "init_pool",
+    "parent_pairs",
+    "block_mean_se",
     "step",
     "run",
     "h_exponent",
     "paley_zygmund_bounds",
+    "ols",
     "fit_log_slope",
 ]
 
@@ -56,7 +58,6 @@ class LmeParams:
     seed: int = 0
     track_powers: tuple[float, ...] = (2.0, 3.0)
     blocks: int = 32
-    threads: int = 1
 
     def __post_init__(self):
         if not self.q > 0.5:
@@ -81,9 +82,6 @@ class SamplePool:
     values: np.ndarray
     logZ: float
     blocks: int
-
-    def block_views(self) -> list[np.ndarray]:
-        return np.split(self.values, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,7 @@ class RunRecord:
     ses_ratio: dict[float, list[float]] = field(default_factory=dict)
     means: list[float] = field(default_factory=list)
     mean_ses: list[float] = field(default_factory=list)
+    final_pool: SamplePool | None = None
 
 
 def exact_Tn(q: float, epsilon: float) -> float:
@@ -152,50 +151,53 @@ def init_pool(params: LmeParams) -> SamplePool:
     )
 
 
-def _step_block(block: np.ndarray, q: float, t_n: float, s: float, rng) -> np.ndarray:
-    p = block.size
-    i = rng.integers(0, p, size=p)
-    j = rng.integers(0, p, size=p)
-    u = s * rng.standard_cauchy(p)
-    inv = 1.0 / np.sqrt(1.0 + u * u)
-    sin2q = (0.5 * (1.0 - inv)) ** q
-    cos2q = (0.5 * (1.0 + inv)) ** q
-    return (sin2q * block[i] + cos2q * block[j]) / t_n
+def parent_pairs(size: int, rngs):
+    """Per replica block: (slice, i, j, rng) with parent indices i, j drawn
+    uniformly within the block and offset to whole-pool positions.
 
-
-def step(pool: SamplePool, params: LmeParams, rngs=None) -> SamplePool:
-    """One scale step: resample parent pairs within each block, mix with a
-    fresh angle at eps = b/n, divide by the exact T_n.
-
-    ``rngs`` may be a list of per-block generators, a single generator
-    (blocks drawn sequentially from it), or None to derive the canonical
-    (seed, step, block) streams.
+    ``rngs`` holds one generator per block; i and j are drawn first, and
+    the caller draws the block's mixing variables from ``rng`` after them.
     """
-    q, b = params.q, params.b
-    eps = b / pool.n
+    # One block at a time, not one whole-pool draw with block offsets:
+    # on a 2-core host with a 2 MiB L2 the whole-pool variant raised the
+    # 2^20-replica BRW's peak RSS from 143 to 205 MiB (8 MiB temporaries)
+    # and its wall time by 20%, while a block's working set stays in cache.
+    p = size // len(rngs)
+    for k, rng in enumerate(rngs):
+        lo = k * p
+        i = rng.integers(0, p, p)
+        j = rng.integers(0, p, p)
+        i += lo
+        j += lo
+        yield slice(lo, lo + p), i, j, rng
+
+
+def block_mean_se(values: np.ndarray, blocks: int) -> tuple[np.ndarray, float, float]:
+    """Per-block means of ``values``, their mean, and its standard error
+    from the spread across independent blocks."""
+    means = values.reshape(blocks, -1).mean(axis=1)
+    return means, float(means.mean()), float(means.std(ddof=1) / math.sqrt(blocks))
+
+
+def step(pool: SamplePool, params: LmeParams) -> SamplePool:
+    """One scale step: resample parent pairs within each block from its
+    (seed, step, block) stream, mix with a fresh angle at eps = b/n, divide
+    by the exact T_n."""
+    q = params.q
+    eps = params.b / pool.n
     t_n = exact_Tn(q, eps)
-    s = 0.5 * math.pi * eps
-    blocks = pool.block_views()
-    if rngs is None:
-        rngs = [
-            derive_stream(params.seed, (DOMAIN_LME, pool.n, k))
-            for k in range(pool.blocks)
-        ]
-    elif isinstance(rngs, np.random.Generator):
-        rngs = [rngs] * pool.blocks
-    if params.threads > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as ex:
-            new_blocks = list(
-                ex.map(lambda kb: _step_block(blocks[kb], q, t_n, s, rngs[kb]),
-                       range(pool.blocks))
-            )
-    else:
-        new_blocks = [
-            _step_block(blocks[k], q, t_n, s, rngs[k]) for k in range(pool.blocks)
-        ]
+    law = theta.ThetaLaw(eps)
+    rngs = [
+        derive_stream(params.seed, (DOMAIN_LME, pool.n, k)) for k in range(pool.blocks)
+    ]
+    v = pool.values
+    out = np.empty_like(v)
+    for sl, i, j, rng in parent_pairs(v.size, rngs):
+        sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
+        out[sl] = (sin2**q * v[i] + cos2**q * v[j]) / t_n
     return SamplePool(
         n=pool.n + 1,
-        values=np.concatenate(new_blocks),
+        values=out,
         logZ=pool.logZ + math.log(t_n),
         blocks=pool.blocks,
     )
@@ -225,26 +227,11 @@ def _block_stats(pool: SamplePool, powers) -> dict:
     are exactly unbiased for the moments of the normalized ratio; block
     independence makes their spread an honest standard error.
     """
-    vals = pool.block_views()
-    out = {
-        "mean": None,
-        "mean_se": None,
-        "raw": {},
-        "raw_se": {},
-        "ratio": {},
-        "ratio_se": {},
-    }
-    m1 = np.array([v.mean() for v in vals])
-    bcount = len(vals)
-    out["mean"] = float(m1.mean())
-    out["mean_se"] = float(m1.std(ddof=1) / math.sqrt(bcount))
+    out = {"raw": {}, "raw_se": {}, "ratio": {}, "ratio_se": {}}
+    m1, out["mean"], out["mean_se"] = block_mean_se(pool.values, pool.blocks)
     for p in powers:
-        mp = np.array([np.mean(v**p) for v in vals])
-        out["raw"][p] = float(mp.mean())
-        out["raw_se"][p] = float(mp.std(ddof=1) / math.sqrt(bcount))
-        est, se = _loo_ratio(mp, m1, p)
-        out["ratio"][p] = est
-        out["ratio_se"][p] = se
+        mp, out["raw"][p], out["raw_se"][p] = block_mean_se(pool.values**p, pool.blocks)
+        out["ratio"][p], out["ratio_se"][p] = _loo_ratio(mp, m1, p)
     return out
 
 
@@ -292,6 +279,23 @@ def run(params: LmeParams) -> RunRecord:
     return rec
 
 
+def ols(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordinary least squares of y on the columns of ``design``.
+
+    Returns (coefficients, their standard errors, residuals); the error
+    variance is estimated with max(rows - columns, 1) degrees of freedom.
+    A rank-deficient design (e.g. fewer rows than columns) yields the
+    minimum-norm coefficients with infinite standard errors.
+    """
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    if rank < design.shape[1]:
+        return coef, np.full(design.shape[1], np.inf), resid
+    dof = max(len(y) - design.shape[1], 1)
+    cov = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
+    return coef, np.sqrt(np.maximum(np.diag(cov), 0.0)), resid
+
+
 def fit_log_slope(
     ns, ys, *, n_min: int = 64, sqrt_correction: bool = False
 ) -> tuple[float, float]:
@@ -310,13 +314,8 @@ def fit_log_slope(
     cols = [np.ones_like(n_arr), np.log(n_arr)]
     if sqrt_correction:
         cols.append(1.0 / np.sqrt(n_arr))
-    a = np.vstack(cols).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    dof = max(len(sel) - a.shape[1], 1)
-    resid = y - a @ coef
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(a.T @ a)
-    return float(coef[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
+    coef, stderr, _ = ols(np.vstack(cols).T, y)
+    return float(coef[1]), float(stderr[1])
 
 
 def h_exponent(q: float, *, tol: float = 1e-10) -> float:

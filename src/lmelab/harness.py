@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from . import __version__
 from .errors import ConfigError
 
 __all__ = [
-    "RunConfig",
     "RunManifest",
     "SCHEMAS",
     "parse_config",
@@ -125,15 +123,6 @@ SCHEMAS: dict[str, dict] = {
         "seed": (int, 0, None),
     },
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: dict
-    seed: int = 0
-    out_dir: str = "."
-    threads: int = 1
 
 
 @dataclass
@@ -269,7 +258,3 @@ def write_manifest(
         },
     )
     return path
-
-
-def wall_clock() -> float:
-    return time.monotonic()

@@ -127,7 +127,7 @@ def _evaluator(grid: GridFunction):
 
     def ev(args: np.ndarray) -> np.ndarray:
         la = np.log(args)
-        out = np.empty_like(args)
+        out = np.empty(args.shape)
         small = la < lo
         big = la > hi
         mid = ~(small | big)

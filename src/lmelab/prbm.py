@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .engine import ols
 from .errors import ContractViolation
 from .streams import DOMAIN_PRBM, derive_stream
 
@@ -140,13 +141,9 @@ def estimate_dq(ensemble: PrbmEnsemble, q: float) -> DqFit:
         ses.append(float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0)
     x = np.log(np.array(n_list, dtype=float))
     y = np.array(means)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = max(len(n_list) - 2, 1)
-    cov = float(resid @ resid) / dof * np.linalg.inv(design.T @ design)
+    coef, coef_se, resid = ols(np.vstack([np.ones_like(x), x]).T, y)
     slope = float(coef[1])
-    stderr = float(math.sqrt(max(cov[1, 1], 0.0)))
+    stderr = float(coef_se[1])
     return DqFit(
         q=q,
         slope=slope,

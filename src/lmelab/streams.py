@@ -5,9 +5,9 @@ Streams are counter-based (Philox-4x64) and keyed directly by
 the bit-packed labels in the other, so a stream is a pure function of its
 labels with no state hand-off between workers, identical output on every
 platform, and statistical independence across distinct keys by design of
-the generator.  Chunk labels are (domain, step, chunk), fixed by the work
-decomposition rather than by worker identity, which is what makes thread
-counts irrelevant to output.
+the generator.  Chunk labels are (domain, step, chunk): each replica block
+draws from its own key, so blocks stay statistically independent, and
+output depends on (seed, labels) alone.
 """
 
 from __future__ import annotations

@@ -22,6 +22,16 @@ class TestCascade:
             pool = brw.step_cascade(pool, 0.0, rngs_for(params, k))
         assert np.allclose(pool.M_values, 1.0, atol=1e-15)
 
+    def test_parents_stay_in_their_block(self):
+        # at beta = 0 both weights are exactly 1/2, so a block filled with
+        # k stays exactly at k only if both parents come from it
+        params = brw.BrwParams(beta=0.0, depth=5, replicas=3200, seed=1, blocks=8)
+        labels = np.repeat(np.arange(params.blocks, dtype=float), 400)
+        pool = brw.BrwPool(n=0, M_values=labels, blocks=params.blocks)
+        for k in range(params.depth):
+            pool = brw.step_cascade(pool, 0.0, rngs_for(params, k))
+        assert np.array_equal(pool.M_values, labels)
+
     @pytest.mark.parametrize("beta", [0.5 * brw.BETA_C, brw.BETA_C, 1.2 * brw.BETA_C])
     def test_martingale_mean(self, beta):
         params = brw.BrwParams(beta=beta, depth=15, replicas=64_000, seed=3)

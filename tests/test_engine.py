@@ -86,12 +86,15 @@ class TestStep:
             p2 = en.step(p2, params)
         assert np.array_equal(p1.values, p2.values)
 
-    def test_thread_count_invariance(self):
-        base = dict(q=0.75, b=0.5, n_max=20, pool_size=8000, seed=3)
-        r1 = en.run(en.LmeParams(**base, threads=1))
-        r4 = en.run(en.LmeParams(**base, threads=4))
-        assert np.array_equal(r1.final_pool.values, r4.final_pool.values)
-        assert r1.logZ == r4.logZ
+    def test_parents_stay_in_their_block(self):
+        # at q = 1 the update is a convex combination of the two parents,
+        # so a block filled with k stays at k only if both come from it
+        params = en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=4000, seed=2, blocks=8)
+        labels = np.repeat(np.arange(params.blocks, dtype=float), 500)
+        pool = en.SamplePool(n=1, values=labels, logZ=0.0, blocks=params.blocks)
+        for _ in range(5):
+            pool = en.step(pool, params)
+        assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
 
 
 class TestRun:

@@ -50,6 +50,10 @@ BETA_C = 1.1774100225154747
 
 _MAX_DEPTH = 40
 _TREE_DEPTH_CAP = 20
+# moment_blowup_check lets the Hill index alone call a verdict only when it
+# lies this far from p; the band sits inside the 0.2 contract margin
+# around the threshold beta_c^2/beta^2.
+_TAIL_INDEX_BAND = 0.15
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def _mean_se(values: np.ndarray, blocks: int) -> tuple[float, float]:
     return mean, se
 
 
-def run_cascade(params: BrwParams, *, record_square: bool = True) -> dict:
+def run_cascade(params: BrwParams) -> dict:
     """Cascade to the requested depth; per-depth mean, SE, median, E[M^2]."""
     pool = init_pool(params)
     rec = {"n": [], "mean": [], "se": [], "median": [], "m2": [], "m2_se": []}
@@ -172,10 +176,9 @@ def run_cascade(params: BrwParams, *, record_square: bool = True) -> dict:
         rec["mean"].append(mean)
         rec["se"].append(se)
         rec["median"].append(float(np.median(pool.M_values)))
-        if record_square:
-            m2, m2_se = _mean_se(pool.M_values**2, pool.blocks)
-            rec["m2"].append(m2)
-            rec["m2_se"].append(m2_se)
+        m2, m2_se = _mean_se(pool.M_values**2, pool.blocks)
+        rec["m2"].append(m2)
+        rec["m2_se"].append(m2_se)
 
     note(pool)
     for step_index in range(params.depth):
@@ -204,8 +207,9 @@ def run_derivative(params: BrwParams) -> dict:
     return rec
 
 
-def run_max(params: BrwParams, *, fit_from: int = 10) -> dict:
-    """Maximum recursion with the two-stage centering fit.
+def run_max(params: BrwParams) -> dict:
+    """Maximum recursion with the two-stage centering fit over depths
+    n >= 10, past the small-n transient.
 
     Stage one fits median(X_max) ~ A + B n + C ln n jointly (B estimates
     beta_c); stage two subtracts the exact beta_c n and fits the log term
@@ -214,7 +218,7 @@ def run_max(params: BrwParams, *, fit_from: int = 10) -> dict:
     ns, medians = [], []
     for step_index in range(params.depth):
         pool = step_max(pool, _block_rngs(params, step_index))
-        if pool.n >= fit_from:
+        if pool.n >= 10:
             ns.append(pool.n)
             medians.append(float(np.median(pool.X_max_values)))
     ns_arr = np.array(ns, dtype=float)
@@ -246,11 +250,12 @@ def second_moment_recursion(beta: float, depth: int) -> list[float]:
     return vals
 
 
-def hill_tail_index(sample: np.ndarray, k: int = 1000) -> float:
-    """Hill estimator of the power-law tail index from the top k order
-    statistics."""
+def hill_tail_index(sample: np.ndarray) -> float:
+    """Hill estimator of the power-law tail index from the top k = 1000
+    order statistics."""
+    k = 1000
     if k + 1 >= sample.size:
-        raise ValueError("k must be well below the sample size")
+        raise ValueError("sample must hold more than 1001 values")
     x = np.partition(sample, sample.size - k - 1)[-(k + 1):]
     x = np.sort(x)[::-1]
     return float(1.0 / np.mean(np.log(x[:k] / x[k])))
@@ -262,41 +267,38 @@ def moment_blowup_check(
     *,
     replicas: int = 1_000_000,
     seed: int = 0,
-    depth_lo: int = 20,
-    depth_hi: int = 40,
-    band: float = 0.15,
 ) -> Verdict:
     """Decide whether E[M^p] diverges with depth, against the classical
     p < beta_c^2/beta^2 threshold.
 
     Two signals combine.  (1) The direct one: the empirical p-th moment
-    doubling between depth_lo and depth_hi.  Doubling is conclusive when it
+    doubling between depths 20 and 40.  Doubling is conclusive when it
     happens, but on the divergent side with tail index below 2 the growth
     of the true moment is carried by events rarer than 1/replicas, and the
     empirical moment becomes a max-dominated draw with no depth trend, so
     lack of doubling proves nothing there.  (2) The decidable one: the
-    Hill tail-index estimate of the depth_hi sample; the p-th moment of
+    Hill tail-index estimate of the depth-40 sample; the p-th moment of
     the limit law is finite iff p is below the tail index, and at the
     contract margins (|p - beta_c^2/beta^2| >= 0.2, replicas ~ 1e6) the
     index is estimated sharply enough to call the verdict.
     """
     if not 0.0 < beta < BETA_C:
         raise ValueError(f"blowup check requires beta in (0, beta_c), got {beta}")
-    params = BrwParams(beta=beta, depth=depth_hi, replicas=replicas, seed=seed)
+    params = BrwParams(beta=beta, depth=40, replicas=replicas, seed=seed)
     pool = init_pool(params)
     m_lo = None
-    for step_index in range(depth_hi):
+    for step_index in range(params.depth):
         pool = step_cascade(pool, beta, _block_rngs(params, step_index))
-        if pool.n == depth_lo:
+        if pool.n == 20:
             m_lo = float(np.mean(pool.M_values**p))
     m_hi = float(np.mean(pool.M_values**p))
     ratio = m_hi / m_lo
     index = hill_tail_index(pool.M_values)
     if ratio >= 2.0 and index < p:
         return Verdict.GROWING
-    if index < p - band:
+    if index < p - _TAIL_INDEX_BAND:
         return Verdict.GROWING
-    if ratio <= 1.5 and index > p + band:
+    if ratio <= 1.5 and index > p + _TAIL_INDEX_BAND:
         return Verdict.STABLE
     return Verdict.INCONCLUSIVE
 

@@ -77,7 +77,6 @@ class RotationEvent:
     e_j_old: float
     h: float
     overlapped: bool
-    ipr_gap: float  # relative gap of the disjoint-support identity (0 if disjoint)
 
 
 @dataclass
@@ -159,9 +158,7 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
         c, s = math.cos(th), math.sin(th)
         vi, vj = state.vectors[i], state.vectors[j]
         overlapped = not set(vi).isdisjoint(vj)
-        ipr_gap = 0.0
-        if overlapped:
-            overlaps += 1
+        overlaps += overlapped
         new_i: dict[int, float] = {}
         new_j: dict[int, float] = {}
         for site, amp in vi.items():
@@ -170,12 +167,6 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
         for site, amp in vj.items():
             new_i[site] = new_i.get(site, 0.0) - s * amp
             new_j[site] = new_j.get(site, 0.0) + c * amp
-        if overlapped:
-            # report how far the disjoint-support identity drifts here
-            q_ref = 2.0
-            exact = ipr(new_i, q_ref)
-            approx = c ** (2 * q_ref) * ipr(vi, q_ref) + s ** (2 * q_ref) * ipr(vj, q_ref)
-            ipr_gap = abs(exact - approx) / exact
         state.vectors[i] = new_i
         state.vectors[j] = new_j
         ebar = 0.5 * (E[i] + E[j])
@@ -187,7 +178,7 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
             RotationEvent(
                 scale=m, i=i, j=j, theta=th,
                 e_i_old=ebar + de, e_j_old=ebar - de, h=h,
-                overlapped=overlapped, ipr_gap=ipr_gap,
+                overlapped=overlapped,
             )
         )
     state.overlap_counts[m] = overlaps

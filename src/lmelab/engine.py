@@ -11,8 +11,9 @@ of every sample is identical to resampling from one big pool, but block
 independence is what makes jackknife standard errors honest: a single
 resampled pool's mean performs an unavoidable random walk of width
 ~ sqrt(n/pool) which slot-block jackknife cannot see, whereas independent
-replicas expose it as cross-block spread.  Moment estimates are reported
-both raw and in the wander-immune ratio form m_p / m_1^p.
+replicas expose it as cross-block spread.  Moment estimates are the raw
+block means of the pool's powers, unbiased because the pool is normalized
+by the deterministic T_n.
 """
 
 from __future__ import annotations
@@ -100,9 +101,8 @@ class RunRecord:
     """Checkpointed trajectory of a pool run.
 
     ``moments``/``ses`` hold the unbiased raw block-mean estimates of
-    E[ratio^p] with jackknife errors over independent blocks; the
-    wander-cancelling (but finitely biased) ratio-normalized versions ride
-    along as ``moments_ratio``/``ses_ratio`` for diagnostics.
+    E[ratio^p] with their standard errors over independent blocks;
+    ``means``/``mean_ses`` the same for E[ratio], which is one exactly.
     """
 
     params: LmeParams
@@ -110,8 +110,6 @@ class RunRecord:
     logZ: list[float] = field(default_factory=list)
     moments: dict[float, list[float]] = field(default_factory=dict)
     ses: dict[float, list[float]] = field(default_factory=dict)
-    moments_ratio: dict[float, list[float]] = field(default_factory=dict)
-    ses_ratio: dict[float, list[float]] = field(default_factory=dict)
     means: list[float] = field(default_factory=list)
     mean_ses: list[float] = field(default_factory=list)
     final_pool: SamplePool | None = None
@@ -203,23 +201,6 @@ def step(pool: SamplePool, params: LmeParams) -> SamplePool:
     )
 
 
-def _loo_ratio(mp: np.ndarray, m1: np.ndarray, p: float) -> tuple[float, float]:
-    """Union ratio m_p / m_1^p with a delete-one-block jackknife SE.
-
-    Diagnostic only: the ratio form cancels the pool's multiplicative mean
-    wander but acquires a finite-pool coupling bias of order one standard
-    error (mean drift and shape drift are correlated); the raw moments are
-    the unbiased estimates.
-    """
-    bcount = mp.size
-    full = mp.mean() / m1.mean() ** p
-    loo_p = (mp.sum() - mp) / (bcount - 1)
-    loo_1 = (m1.sum() - m1) / (bcount - 1)
-    loo = loo_p / loo_1**p
-    se = math.sqrt((bcount - 1) / bcount * np.sum((loo - loo.mean()) ** 2))
-    return float(full), float(se)
-
-
 def _block_stats(pool: SamplePool, powers) -> dict:
     """Per-checkpoint statistics.
 
@@ -227,11 +208,10 @@ def _block_stats(pool: SamplePool, powers) -> dict:
     are exactly unbiased for the moments of the normalized ratio; block
     independence makes their spread an honest standard error.
     """
-    out = {"raw": {}, "raw_se": {}, "ratio": {}, "ratio_se": {}}
-    m1, out["mean"], out["mean_se"] = block_mean_se(pool.values, pool.blocks)
+    out = {"raw": {}, "raw_se": {}}
+    _, out["mean"], out["mean_se"] = block_mean_se(pool.values, pool.blocks)
     for p in powers:
-        mp, out["raw"][p], out["raw_se"][p] = block_mean_se(pool.values**p, pool.blocks)
-        out["ratio"][p], out["ratio_se"][p] = _loo_ratio(mp, m1, p)
+        _, out["raw"][p], out["raw_se"][p] = block_mean_se(pool.values**p, pool.blocks)
     return out
 
 
@@ -252,8 +232,6 @@ def run(params: LmeParams) -> RunRecord:
     for p in params.track_powers:
         rec.moments[p] = []
         rec.ses[p] = []
-        rec.moments_ratio[p] = []
-        rec.ses_ratio[p] = []
     marks = set(_checkpoints(params.n_max))
     pool = init_pool(params)
 
@@ -266,8 +244,6 @@ def run(params: LmeParams) -> RunRecord:
         for p in params.track_powers:
             rec.moments[p].append(st["raw"][p])
             rec.ses[p].append(st["raw_se"][p])
-            rec.moments_ratio[p].append(st["ratio"][p])
-            rec.ses_ratio[p].append(st["ratio_se"][p])
 
     if 1 in marks:
         record(pool)

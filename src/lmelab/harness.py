@@ -85,7 +85,6 @@ SCHEMAS: dict[str, dict] = {
         "pool_size": (int, 100_000, _positive("pool_size")),
         "seed": (int, 0, None),
         "track_powers": (_float_list, (2.0, 3.0), None),
-        "checkpoints": (_int_list, (), None),
     },
     "moments": {
         "q": (float, _REQUIRED, _positive_q),

@@ -56,6 +56,12 @@ __all__ = [
 ]
 
 _THETA_SWITCH = 1e-3  # below this angle the kernel integrand is expanded
+# Least-squares window t <= 0.8 of the small-t series fits (the pinned
+# collar fit and the moment estimates).
+_SERIES_FIT_T_MAX = 0.8
+# Stationary-solve window: nodes beyond it carry no weight in the kernel
+# below t = _SOLVE_T_MAX/2 and are rebuilt as a log-linear continuation.
+_SOLVE_T_MAX = 120.0
 
 
 @dataclass(frozen=True)
@@ -79,27 +85,22 @@ class GridFunction:
     def t_max(self) -> float:
         return float(self.t[-1])
 
-    def check_invariants(self, *, convexity_tol: float = 1e-8) -> None:
+    def check_invariants(self) -> None:
         """Shape contract: phi in (0, 1], non-increasing, convex in t."""
         if np.any(self.phi <= 0.0) or np.any(self.phi > 1.0 + 1e-15):
             raise ContractViolation("phi must lie in (0, 1]")
         if np.any(np.diff(self.phi) > 1e-15):
             raise ContractViolation("phi must be non-increasing")
         slopes = np.diff(self.phi) / np.diff(self.t)
-        if np.any(np.diff(slopes) < -convexity_tol):
+        if np.any(np.diff(slopes) < -1e-8):
             raise ContractViolation("phi fails the convexity spot check")
 
 
-def make_grid(
-    init: str = "delta",
-    *,
-    t_min: float = 1e-4,
-    t_max: float = 1e3,
-    n_points: int = 400,
-) -> GridFunction:
-    """Fresh grid at scale 1: 'delta' is exp(-t) (unit point mass),
-    'exponential' is 1/(1+t) (unit-mean exponential law)."""
-    t = np.geomspace(t_min, t_max, n_points)
+def make_grid(init: str = "delta") -> GridFunction:
+    """Fresh grid of 400 log-spaced nodes on [1e-4, 1e3] at scale 1:
+    'delta' is exp(-t) (unit point mass), 'exponential' is 1/(1+t)
+    (unit-mean exponential law)."""
+    t = np.geomspace(1e-4, 1e3, 400)
     if init == "delta":
         phi = np.exp(-np.minimum(t, 700.0))
         series = (1.0, -1.0, 0.5, -1.0 / 6.0, 1.0 / 24.0)
@@ -161,19 +162,13 @@ def iterate_phi(
     n_start: int,
     n_end: int,
     grid: GridFunction,
-    *,
-    nodes_per_panel: int = 24,
-    projection_tol: float = 1e-9,
-    stop_delta: float | None = None,
-    series_refresh: int = 256,
 ) -> GridFunction:
     """Apply the scale recursion for n = n_start .. n_end - 1.
 
     The expectation over the angle at eps = b/n uses a fixed folded
     Gauss-Legendre rule; normalizing by the same rule's T_n keeps the grid
     mean exactly one step by step.  The series head follows the exact
-    deterministic moment trajectory.  Stops early when the sup-norm step
-    falls below ``stop_delta`` (if given).
+    deterministic moment trajectory, refreshed every 256 steps.
     """
     if not 0.5 < q < 1.0:
         raise ValueError(f"iteration requires q in (1/2, 1), got {q}")
@@ -184,12 +179,12 @@ def iterate_phi(
     phi = grid.phi.copy()
     series = _series_from_moments(traj[n_start - 1])
     for n in range(n_start, n_end):
-        nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), nodes_per_panel)
+        nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), 24)
         s2 = np.sin(nodes) ** 2
         a_pow = s2**q
         b_pow = (1.0 - s2) ** q
         t_n = (a_pow + b_pow) @ w
-        if (n - n_start) % series_refresh == 0:
+        if (n - n_start) % 256 == 0:
             series = _series_from_moments(traj[n - 1])
         ev = _evaluator(GridFunction(t=t, phi=phi, series=series))
         args_a = np.multiply.outer(t, a_pow / t_n)
@@ -197,16 +192,13 @@ def iterate_phi(
         fa = ev(args_a.ravel()).reshape(args_a.shape)
         fb = ev(args_b.ravel()).reshape(args_b.shape)
         new = (fa * fb) @ w
-        new, dist = _isotonic(new)
-        if dist > projection_tol:
+        phi, dist = _isotonic(new)
+        # the projection distance is a contract, not a crutch
+        if dist > 1e-9:
             raise ContractViolation(
                 f"isotonic projection moved the grid by {dist:.2e} at n={n}: "
                 "interpolation breakdown"
             )
-        delta = float(np.max(np.abs(new - phi)))
-        phi = new
-        if stop_delta is not None and delta < stop_delta:
-            break
     return GridFunction(t=t, phi=phi, series=_series_from_moments(traj[-1]))
 
 
@@ -219,7 +211,7 @@ class _KernelPieces:
     are precomputed here.
     """
 
-    def __init__(self, q: float, nodes_per_panel: int = 32):
+    def __init__(self, q: float):
         self.q = q
         a = 2.0 * q - 2.0
         quad = integrate.quad
@@ -259,7 +251,7 @@ class _KernelPieces:
         while edges[-1] * 16.0 < 0.25 * math.pi:
             edges.append(edges[-1] * 16.0)
         edges.append(0.25 * math.pi)
-        x, w = leggauss(nodes_per_panel)
+        x, w = leggauss(32)
         ns, ws = [], []
         for lo, hi in zip(edges, edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -320,10 +312,10 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     return analytics.T_of_q(q) * tphip + 0.5 * (main + small)
 
 
-def _fit_series_pinned(grid: GridFunction, window_max: float = 0.8):
+def _fit_series_pinned(grid: GridFunction):
     """Series coefficients with the mean pinned at one (scale anchor)."""
     t, phi = grid.t, grid.phi
-    mask = t <= window_max
+    mask = t <= _SERIES_FIT_T_MAX
     tm = t[mask]
     y = phi[mask] - 1.0 + tm
     powers = np.arange(2, 8)
@@ -334,35 +326,27 @@ def _fit_series_pinned(grid: GridFunction, window_max: float = 0.8):
     return (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
 
 
-def refine_stationary(
-    q: float,
-    grid: GridFunction,
-    *,
-    window_max: float = 120.0,
-    collar_max: float = 4e-3,
-    outer_iterations: int = 6,
-    f_tol: float = 1e-11,
-) -> GridFunction:
+def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     """Solve the stationary equation on the grid by Newton-Krylov.
 
     The finite-scale recursion approaches the limit only like a fractional
     power of the scale, which strands its residual around 1e-4; solving the
     stationary equation directly removes that floor.  The scale-invariance
     mode (t -> ct reparametrizations) is pinned by anchoring the collar
-    t <= collar_max to a mean-one series fitted from the grid itself; the
-    fit is refreshed between Newton solves until self-consistent.  Nodes
-    beyond window_max carry no weight in the kernel below t = window_max/2
-    and are rebuilt as a log-linear decay continuation.
+    t <= 4e-3 to a mean-one series fitted from the grid itself; the fit is
+    refreshed between six Newton solves until self-consistent.  Nodes
+    beyond t = 120 carry no weight in the kernel below t = 60 and are
+    rebuilt as a log-linear decay continuation.
     """
     if not 0.5 < q < 1.0:
         raise ValueError(f"refinement requires q in (1/2, 1), got {q}")
     t = grid.t
-    collar = t <= collar_max
-    free = (~collar) & (t <= window_max)
+    collar = t <= 4e-3
+    free = (~collar) & (t <= _SOLVE_T_MAX)
     fidx = np.where(free)[0]
     phi = grid.phi.copy()
     series = grid.series
-    for _ in range(outer_iterations):
+    for _ in range(6):
         series = _fit_series_pinned(replace(grid, phi=phi))
         c0, c1, c2, c3, c4 = series
         x = t[collar]
@@ -380,13 +364,13 @@ def refine_stationary(
             with warnings.catch_warnings():
                 # scipy's termination bookkeeping divides by an unset x_rtol
                 warnings.simplefilter("ignore", RuntimeWarning)
-                sol = newton_krylov(objective, phi[fidx], f_tol=f_tol, maxiter=80)
+                sol = newton_krylov(objective, phi[fidx], f_tol=1e-11, maxiter=80)
         except NoConvergence as exc:  # pragma: no cover - defensive
             raise ContractViolation(f"stationary solve failed: {exc}") from exc
         phi[fidx] = sol
 
     # log-linear tail continuation beyond the solve window
-    tail = t > window_max
+    tail = t > _SOLVE_T_MAX
     if tail.any():
         i0 = fidx[-1]
         slope = math.log(max(phi[i0], 1e-300) / max(phi[i0 - 4], 1e-300)) / (
@@ -448,9 +432,7 @@ def stationary_residual(q: float, grid: GridFunction, t_point: float) -> float:
     return analytics.T_of_q(q) * tphip + 0.5 * (val + small)
 
 
-def moments_from_phi(
-    grid: GridFunction, kmax: int = 4, *, window_max: float = 0.8
-) -> tuple[float, ...]:
+def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
     """Estimate M_1..M_kmax from the small-t expansion of the grid.
 
     Unconstrained least squares on t..t^7 (degrees above kmax are nuisance
@@ -460,7 +442,7 @@ def moments_from_phi(
     if not 1 <= kmax <= 4:
         raise ValueError("kmax must be in 1..4")
     t, phi = grid.t, grid.phi
-    mask = t <= window_max
+    mask = t <= _SERIES_FIT_T_MAX
     tm = t[mask]
     y = phi[mask] - 1.0
     powers = np.arange(1, 8)
@@ -490,11 +472,10 @@ def converge_grid(
     init: str = "delta",
     n_schedule: int = 4000,
     refine: bool = True,
-    grid_kwargs: dict | None = None,
 ) -> GridFunction:
     """Recursion schedule followed by the stationary solve (the production
     path to the limiting transform)."""
-    grid = make_grid(init, **(grid_kwargs or {}))
+    grid = make_grid(init)
     grid = iterate_phi(q, b, 1, n_schedule, grid)
     if refine:
         grid = refine_stationary(q, grid)

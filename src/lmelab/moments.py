@@ -158,49 +158,26 @@ def moment_table(q: float, kmax: int) -> MomentTable:
     )
 
 
-def _bound_integral(q: float, k: int, *, tol: float = 1e-11) -> float:
-    """(1/2) int_0^{pi/4} cos^{2qk-4} t tan^{2q-2} t dt (k0 construction)."""
-    a = 2.0 * q - 2.0
-
-    # tan^{a} t = t^{a} (tan t/t)^{a}; the cos power stays explicit
-    def cof(t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        return (math.tan(t) / t) ** a * math.cos(t) ** (2.0 * q * k - 4.0)
-
-    val, _ = integrate.quad(
-        cof,
-        0.0,
-        _QUARTER_PI,
-        weight="alg",
-        wvar=(a, 0.0),
-        epsabs=0.0,
-        epsrel=tol,
-        limit=200,
-    )
-    return 0.5 * val
-
-
-def factorial_bound_constant(
-    q: float, table: MomentTable, *, k_cap: int = 10_000
-) -> FactorialBound:
+def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
     """Construct C(q) from the least k0 with contraction factor below one.
 
-    For q in (1/2, 1) the quantity k/(T(qk) - kT(q)) tends to -1/T(q) > 0
-    while the integral vanishes, so k0 exists; C(q) = max_{j<k0} (M_j/j!)^{1/j}
-    then bounds every tabulated moment by C^k k!.
+    The factor is k/(T(qk) - kT(q)) times I(1, k-1), the pair integral of
+    tan^{2q-2} cos^{2qk-4}.  For q in (1/2, 1) the first term tends to
+    -1/T(q) > 0 while the integral vanishes, so k0 exists (the search gives
+    up at k = 10^4); C(q) = max_{j<k0} (M_j/j!)^{1/j} then bounds every
+    tabulated moment by C^k k!.
     """
     if not 0.5 < q < 1.0:
         raise ValueError(f"factorial bound requires q in (1/2, 1), got {q}")
     tq = analytics.T_of_q(q)
     k0 = None
-    for k in range(2, k_cap + 1):
-        factor = k / (analytics.T_of_q(k * q) - k * tq) * _bound_integral(q, k)
+    for k in range(2, 10_001):
+        factor = k / (analytics.T_of_q(k * q) - k * tq) * pair_integral(q, 1, k - 1)
         if factor < 1.0:
             k0 = k
             break
     if k0 is None:
-        raise ContractViolation(f"no k0 below cap {k_cap}: quadrature suspect")
+        raise ContractViolation("no k0 up to 10^4: quadrature suspect")
 
     # Moments below k0 set the constant; extend the table if it is short.
     need = max(k0 - 1, table.valid_upto)

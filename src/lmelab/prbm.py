@@ -75,12 +75,11 @@ def build_matrix(N: int, b: float, rng: np.random.Generator) -> np.ndarray:
     return upper + np.triu(raw, 1).T
 
 
-def symmetric_eig(matrix: np.ndarray, *, check: bool = True):
+def symmetric_eig(matrix: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
     Backed by LAPACK's Householder tridiagonalization pipeline; the
-    reconstruction and orthonormality contracts are verified on every call
-    unless ``check`` is disabled.
+    reconstruction and orthonormality contracts are verified on every call.
     """
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -90,15 +89,14 @@ def symmetric_eig(matrix: np.ndarray, *, check: bool = True):
     if not np.allclose(h, h.T, atol=1e-12 * max(1.0, np.abs(h).max())):
         raise ValueError("input must be symmetric")
     w, v = linalg.eigh(h)
-    if check:
-        n = h.shape[0]
-        scale = np.abs(h).max()
-        recon = np.abs(h @ v - v * w[None, :]).max()
-        if recon > 1e-9 * scale * n:
-            raise ContractViolation(f"eigen reconstruction error {recon:.2e}")
-        ortho = np.abs(v.T @ v - np.eye(n)).max()
-        if ortho > 1e-10:
-            raise ContractViolation(f"eigenvector orthonormality error {ortho:.2e}")
+    n = h.shape[0]
+    scale = np.abs(h).max()
+    recon = np.abs(h @ v - v * w[None, :]).max()
+    if recon > 1e-9 * scale * n:
+        raise ContractViolation(f"eigen reconstruction error {recon:.2e}")
+    ortho = np.abs(v.T @ v - np.eye(n)).max()
+    if ortho > 1e-10:
+        raise ContractViolation(f"eigenvector orthonormality error {ortho:.2e}")
     return w, v
 
 

@@ -1,0 +1,32 @@
+"""Config parsing: every rejection names the offending key."""
+
+import pytest
+
+from lmelab import harness
+from lmelab.errors import ConfigError
+
+BASE = "q = 0.75\nb = 0.5\n"
+
+
+def test_defaults_applied():
+    cfg = harness.parse_config(BASE + "# a comment\n\nseed = 3  # trailing\n", "simulate-lme")
+    assert cfg == {
+        "q": 0.75, "b": 0.5, "n_max": 10_000, "pool_size": 100_000,
+        "seed": 3, "track_powers": (2.0, 3.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (BASE + "pool = 10\n", "pool"),
+        (BASE + "seed = 1\nseed = 2\n", "seed"),
+        (BASE + "n_max = ten\n", "n_max"),
+        ("b = 0.5\n", "q"),
+        (BASE + "checkpoints = 1,2\n", "checkpoints"),
+    ],
+    ids=["unknown", "duplicate", "mistyped", "missing", "unread-checkpoints"],
+)
+def test_rejections_name_the_key(text, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        harness.parse_config(text, "simulate-lme")

@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, gammasgn, rgamma
 
 from .errors import ContractViolation
@@ -188,52 +188,20 @@ def H_of_q(q: float) -> float:
     return q * T_prime(q) - T_of_q(q)
 
 
-def _bracketed_root(
-    f,
-    lo: float,
-    hi: float,
-    *,
-    ftol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Bisection refined by secant steps; stops when |f| <= ftol.
-
-    Requires a sign change on [lo, hi]; raises ContractViolation otherwise.
-    """
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """Brent root of f on [lo, hi]; ContractViolation without a sign change."""
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0.0:
         raise ContractViolation(
             f"no sign change on bracket [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}"
         )
-    x, fx = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    for _ in range(max_iter):
-        if abs(fx) <= ftol:
-            return x
-        # Secant through the bracket endpoints, fall back to bisection when
-        # the step leaves the bracket or the denominator degenerates.
-        denom = fhi - flo
-        if denom != 0.0:
-            x = hi - fhi * (hi - lo) / denom
-        if denom == 0.0 or not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if flo * fx <= 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(x)):
-            return x
-    return x
+    return brentq(f, lo, hi, xtol=1e-14)
 
 
 @lru_cache(maxsize=1)
 def find_qc() -> float:
     """Unique root of H(q) = q T'(q) - T(q) on (1/2, inf); about 2.4056."""
-    return _bracketed_root(H_of_q, 1.1, 8.0, ftol=1e-12)
+    return _bracketed_root(H_of_q, 1.1, 8.0)
 
 
 def p_star(q: float):
@@ -259,7 +227,7 @@ def p_star(q: float):
         hi *= 2.0
         if hi > 1e6:  # pragma: no cover - cannot happen for q in (1, q_c)
             raise ContractViolation("p_star bracket expansion failed")
-    return _bracketed_root(g, lo, hi, ftol=1e-12)
+    return _bracketed_root(g, lo, hi)
 
 
 def find_qk(k: int) -> float:
@@ -270,7 +238,7 @@ def find_qk(k: int) -> float:
     def g(q: float) -> float:
         return T_of_q(k * q) - k * T_of_q(q)
 
-    return _bracketed_root(g, 1.0, find_qc(), ftol=1e-12)
+    return _bracketed_root(g, 1.0, find_qc())
 
 
 def d_of_q(q: float, b: float) -> float:

@@ -19,10 +19,10 @@ by the deterministic T_n.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import analytics, theta
 from .streams import DOMAIN_LME, derive_stream
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _tn_cache: dict[tuple[float, float], float] = {}
-_tn_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,8 @@ def exact_Tn(q: float, epsilon: float) -> float:
     if not q > 0.5:
         raise ValueError(f"q must exceed 1/2, got {q}")
     key = (float(q), float(epsilon))
-    with _tn_lock:
-        if key in _tn_cache:
-            return _tn_cache[key]
+    if key in _tn_cache:
+        return _tn_cache[key]
     if q == 1.0:
         val = 1.0  # sin^2 + cos^2, exactly
     else:
@@ -134,8 +132,7 @@ def exact_Tn(q: float, epsilon: float) -> float:
         val = theta.expect_theta(
             law, lambda t: (math.sin(t) ** 2) ** q + (math.cos(t) ** 2) ** q
         )
-    with _tn_lock:
-        _tn_cache[key] = val
+    _tn_cache[key] = val
     return val
 
 
@@ -294,8 +291,8 @@ def fit_log_slope(
     return float(coef[1]), float(stderr[1])
 
 
-def h_exponent(q: float, *, tol: float = 1e-10) -> float:
-    """The order h in (0,1) maximizing T(qh) - h T(q), golden-section search.
+def h_exponent(q: float) -> float:
+    """The order h in (0,1) maximizing T(qh) - h T(q) (bounded Brent search).
 
     Only meaningful past the critical index, where the maximum is positive
     and drives the decay of the h-th moment of the normalized ratio.
@@ -308,22 +305,14 @@ def h_exponent(q: float, *, tol: float = 1e-10) -> float:
     def g(h: float) -> float:
         return analytics.T_of_q(q * h) - h * tq
 
-    # golden-section on (lo, hi); g is strictly concave in h
-    lo, hi = 0.5 / q + 1e-9, 1.0 - 1e-12
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = g(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = g(x1)
-    h = 0.5 * (lo + hi)
+    # g is strictly concave in h on (1/(2q), 1)
+    res = minimize_scalar(
+        lambda h: -g(h),
+        bounds=(0.5 / q + 1e-9, 1.0 - 1e-12),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    h = float(res.x)
     if g(h) <= 0.0:
         raise ValueError(f"maximum of T(qh) - hT(q) not positive at q={q}")
     return h

@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.optimize import newton_krylov
@@ -205,7 +204,7 @@ def iterate_phi(
 class _KernelPieces:
     """Per-q quadrature data for the stationary operator.
 
-    Main region [theta_switch, pi/4]: Gauss-Legendre panels on the raw
+    Main region [theta_switch, pi/4]: :func:`theta.gauss_panels` on the raw
     integrand.  Below theta_switch the integrand is replaced by its
     analytic expansion; the four theta-integrals (one endpoint-singular)
     are precomputed here.
@@ -247,22 +246,11 @@ class _KernelPieces:
             epsabs=1e-16,
             epsrel=1e-13,
         )[0]
-        edges = [_THETA_SWITCH]
-        while edges[-1] * 16.0 < 0.25 * math.pi:
-            edges.append(edges[-1] * 16.0)
-        edges.append(0.25 * math.pi)
-        x, w = leggauss(32)
-        ns, ws = [], []
-        for lo, hi in zip(edges, edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            ns.append(mid + half * x)
-            ws.append(w * half)
-        th = np.concatenate(ns)
+        th, self.weights = theta.gauss_panels([_THETA_SWITCH], 32)
         s2 = np.sin(th) ** 2
         self.sin_pow = s2**q
         self.cos_pow = (1.0 - s2) ** q
         self.inv_s2c2 = 1.0 / (s2 * (1.0 - s2))
-        self.weights = np.concatenate(ws)
 
     def small_part(self, t, phi_t, tphi_prime, m2: float):
         """Integral of the expanded kernel over [0, theta_switch]."""

@@ -19,13 +19,11 @@ angle law at eps = b/n, which the Monte Carlo pool must reproduce.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
 
 from . import analytics, theta
 from .errors import ContractViolation
@@ -42,7 +40,6 @@ __all__ = [
 _QUARTER_PI = 0.25 * math.pi
 
 _pair_cache: dict[tuple[float, int, int], float] = {}
-_pair_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,8 @@ def pair_integral(q: float, j: int, m: int, *, tol: float = 1e-10) -> float:
     if j < 1 or m < 1:
         raise ValueError("j and m must be integers >= 1")
     key = (float(q), int(j), int(m))
-    with _pair_lock:
-        if key in _pair_cache:
-            return _pair_cache[key]
+    if key in _pair_cache:
+        return _pair_cache[key]
 
     a = 2.0 * q * j - 2.0
     b = 2.0 * q * m - 2.0
@@ -103,13 +99,8 @@ def pair_integral(q: float, j: int, m: int, *, tol: float = 1e-10) -> float:
         limit=200,
     )
     out = 0.5 * val
-    with _pair_lock:
-        _pair_cache[key] = out
+    _pair_cache[key] = out
     return out
-
-
-def _log_binomial(n: int, k: int) -> float:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
 def _valid_upto(q: float, kmax: int) -> int:
@@ -141,7 +132,7 @@ def moment_table(q: float, kmax: int) -> MomentTable:
         acc = 0.0
         for j in range(1, l):
             acc += (
-                math.exp(_log_binomial(l, j))
+                math.comb(l, j)
                 * m[j - 1]
                 * m[l - j - 1]
                 * pair_integral(q, j, l - j)
@@ -194,44 +185,34 @@ def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
     return FactorialBound(q=q, C=c, k0=k0, checked_upto=tab.valid_upto)
 
 
-class _EpsSplines:
-    """Cubic splines in ln(eps) of the per-step angle moments.
+def _angle_moments(q: float, b: float, n_max: int, kmax: int):
+    """Per-step angle moments at eps_n = b/n for n = 1..n_max-1.
 
-    Caches T_eps(jq) = E[sin^{2qj} + cos^{2qj}] and the joint moments
-    B_eps(j, m) = E[sin^{2qj} cos^{2qm}] over a log grid of scales, so the
-    exact deterministic moment recursion can run for 10^5 steps without one
-    adaptive quadrature per step.  All cached quantities are smooth in
-    ln(eps) (power series in eps^{2q-1}, eps, ...).
+    Tabulates, with the 48-node folded rule on a log grid of scales,
+    T_eps(jq) = E[sin^{2qj} + cos^{2qj}] for j = 1..kmax (columns 0..kmax-1)
+    and the joint moments B_eps(j, m) = E[sin^{2qj} cos^{2qm}] for
+    j + m <= kmax (column col[(j, m)]), then evaluates one cubic spline in
+    ln(eps) through all columns over the whole schedule, so the exact
+    moment recursion can run for 10^5 steps without one quadrature per
+    step.  All columns are smooth in ln(eps) (power series in eps^{2q-1},
+    eps, ...).  Returns (rows, col) with rows[n-1] at eps_n.
     """
-
-    def __init__(self, q: float, kmax: int, eps_lo: float, eps_hi: float):
-        self.q = q
-        self.kmax = kmax
-        lo, hi = math.log(eps_lo * 0.99), math.log(eps_hi * 1.01)
-        n_nodes = max(16, int(64 * (hi - lo) / math.log(10.0)))
-        grid = np.linspace(lo, hi, n_nodes)
-        t_vals = {j: [] for j in range(1, kmax + 1)}
-        b_vals = {}
-        for u in grid:
-            law = theta.ThetaLaw(math.exp(u))
-            nodes, w = theta.folded_rule(law, nodes_per_panel=48)
-            s2 = np.sin(nodes) ** 2
-            c2 = 1.0 - s2
-            for j in range(1, kmax + 1):
-                t_vals[j].append(float((s2 ** (q * j) + c2 ** (q * j)) @ w))
-            for j in range(1, kmax):
-                for m in range(1, kmax - j + 1):
-                    b_vals.setdefault((j, m), []).append(
-                        float((s2 ** (q * j) * c2 ** (q * m)) @ w)
-                    )
-        self._t = {j: CubicSpline(grid, v) for j, v in t_vals.items()}
-        self._b = {jm: CubicSpline(grid, v) for jm, v in b_vals.items()}
-
-    def t_moment(self, j: int, eps: float) -> float:
-        return float(self._t[j](math.log(eps)))
-
-    def b_moment(self, j: int, m: int, eps: float) -> float:
-        return float(self._b[(j, m)](math.log(eps)))
+    pairs = [(j, m) for j in range(1, kmax) for m in range(1, kmax - j + 1)]
+    lo, hi = math.log(b / n_max * 0.99), math.log(b * 1.01)
+    n_nodes = max(16, int(64 * (hi - lo) / math.log(10.0)))
+    grid = np.linspace(lo, hi, n_nodes)
+    table = []
+    for u in grid:
+        nodes, w = theta.folded_rule(theta.ThetaLaw(math.exp(u)), nodes_per_panel=48)
+        s2 = np.sin(nodes) ** 2
+        c2 = 1.0 - s2
+        table.append(
+            [float((s2 ** (q * j) + c2 ** (q * j)) @ w) for j in range(1, kmax + 1)]
+            + [float((s2 ** (q * j) * c2 ** (q * m)) @ w) for j, m in pairs]
+        )
+    spl = CubicSpline(grid, np.array(table))
+    rows = spl([math.log(b / n) for n in range(1, n_max)]).tolist()
+    return rows, {jm: kmax + i for i, jm in enumerate(pairs)}
 
 
 def moment_trajectory(
@@ -246,23 +227,17 @@ def moment_trajectory(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    spl = _EpsSplines(q, kmax, eps_lo=b / n_max, eps_hi=b)
+    rows, col = _angle_moments(q, b, n_max, kmax)
     out = np.empty((n_max, kmax))
     out[0] = 1.0
     m = np.ones(kmax + 1)  # m[k] = E[ratio^k], m[0] unused
-    binom = {
-        (k, j): math.exp(_log_binomial(k, j))
-        for k in range(2, kmax + 1)
-        for j in range(1, k)
-    }
-    for n in range(1, n_max):
-        eps = b / n
-        t1 = spl.t_moment(1, eps)
+    for n, row in enumerate(rows, start=1):
+        t1 = row[0]
         new = np.ones(kmax + 1)
         for k in range(2, kmax + 1):
-            acc = spl.t_moment(k, eps) * m[k]
+            acc = row[k - 1] * m[k]
             for j in range(1, k):
-                acc += binom[(k, j)] * spl.b_moment(j, k - j, eps) * m[j] * m[k - j]
+                acc += math.comb(k, j) * row[col[(j, k - j)]] * m[j] * m[k - j]
             new[k] = acc / t1**k
         m = new
         out[n] = m[1:]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "theta_cdf",
     "expect_theta",
     "singular_limit",
+    "gauss_panels",
     "folded_rule",
 ]
 
@@ -110,15 +112,10 @@ def theta_cdf(law: ThetaLaw, theta):
     return float(out) if np.isscalar(theta) else out
 
 
-def _split_points(law: ThetaLaw) -> list[float]:
+def _peak_edges(epsilon: float) -> list[float]:
     # The density has a peak of height ~1/eps and width ~eps at the origin;
-    # force panel edges at +-eps and +-10 eps so the adaptive rule sees it.
-    pts = []
-    for m in (1.0, 10.0):
-        p = m * law.epsilon
-        if p < _QUARTER_PI:
-            pts.extend([-p, p])
-    return sorted(pts)
+    # panel edges at eps and 10 eps (those below pi/4) resolve it.
+    return [p for p in (epsilon, 10.0 * epsilon) if p < _QUARTER_PI]
 
 
 def expect_theta(
@@ -128,11 +125,12 @@ def expect_theta(
     tol: float = 1e-10,
 ) -> float:
     """Adaptive quadrature of E[f(theta)] = int f r to absolute tol."""
+    edges = _peak_edges(law.epsilon)
     val, err = integrate.quad(
         lambda t: f(t) * theta_density(law, t),
         -_QUARTER_PI,
         _QUARTER_PI,
-        points=_split_points(law),
+        points=[-p for p in reversed(edges)] + edges,
         epsabs=tol,
         epsrel=0.0,
         limit=400,
@@ -180,6 +178,41 @@ def singular_limit(f: Callable[[float], float], *, tol: float = 1e-10) -> float:
     return val
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def gauss_panels(
+    edges,
+    nodes_per_panel: int,
+    density: Callable[[np.ndarray], np.ndarray] | None = None,
+):
+    """Composite Gauss-Legendre rule on [edges[0], pi/4].
+
+    The panels are the given ascending edges, then a geometric bridge from
+    the last of them up to pi/4 (panel ratio <= 16 keeps Gauss-Legendre
+    accurate on a ~1/theta^2 integrand).  Returns (nodes, weights); with a
+    ``density`` callable the weights carry density(nodes) folded in.
+    """
+    edges = list(edges)
+    last = edges[-1]
+    while last > 0.0 and _QUARTER_PI / last > 16.0:
+        last *= 16.0
+        edges.append(last)
+    edges.append(_QUARTER_PI)
+    x, w = _legendre(nodes_per_panel)
+    e = np.array(edges)
+    mid = 0.5 * (e[:-1] + e[1:])[:, None]
+    half = 0.5 * (e[1:] - e[:-1])[:, None]
+    nodes = mid + half * x
+    if density is not None:
+        w = density(nodes) * w  # density * w * half keeps each weight's rounding
+    return nodes.ravel(), (w * half).ravel()
+
+
 def folded_rule(law: ThetaLaw, nodes_per_panel: int = 32):
     """Fixed Gauss-Legendre rule for E[f] with f even in theta.
 
@@ -188,25 +221,8 @@ def folded_rule(law: ThetaLaw, nodes_per_panel: int = 32):
     peak, then geometrically up to pi/4.  Intended for vectorized iteration
     where one rule is reused across many evaluation points.
     """
-    eps = law.epsilon
-    edges = [0.0]
-    for m in (1.0, 10.0):
-        p = m * eps
-        if p < _QUARTER_PI:
-            edges.append(p)
-    # geometric bridge from the last split to pi/4 (panel ratio <= 16 keeps
-    # Gauss-Legendre accurate on the ~1/theta^2 density tail)
-    last = edges[-1]
-    while last > 0.0 and _QUARTER_PI / last > 16.0:
-        last *= 16.0
-        edges.append(last)
-    edges.append(_QUARTER_PI)
-
-    x, w = leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * x
-        nodes.append(t)
-        weights.append(2.0 * theta_density(law, t) * w * half)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_panels(
+        [0.0, *_peak_edges(law.epsilon)],
+        nodes_per_panel,
+        lambda t: 2.0 * theta_density(law, t),
+    )

@@ -1,11 +1,14 @@
-"""Pair integrals against mpmath and the factorial growth certificate."""
+"""Pair integrals against mpmath, the factorial growth certificate and the
+exact moment trajectory against a per-step recursion."""
 
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from lmelab import moments as mo
+from lmelab import theta as th
 
 
 def pair_integral_mp(q: float, j: int, m: int):
@@ -48,3 +51,39 @@ def test_factorial_bound_certificate_holds(q):
 def test_factorial_bound_requires_q_in_open_interval(q):
     with pytest.raises(ValueError):
         mo.factorial_bound_constant(q, mo.moment_table(0.75, 4))
+
+
+def trajectory_per_step(q: float, b: float, n_max: int, kmax: int = 4):
+    """E[ratio_n^k] with the angle moments quadratured afresh at each eps.
+
+    With S = sin^{2q}, C = cos^{2q} and independent parents X, X',
+    E[(S X + C X')^k] = sum_{j=0}^{k} C(k, j) E[S^j C^{k-j}] M_j M_{k-j};
+    dividing by E[S + C]^k renormalizes the mean to one.
+    """
+    out = np.ones((n_max, kmax))
+    m = [1.0] * (kmax + 1)
+    for n in range(1, n_max):
+        nodes, w = th.folded_rule(th.ThetaLaw(b / n), 64)
+        s = np.sin(nodes) ** (2 * q)
+        c = np.cos(nodes) ** (2 * q)
+        t1 = (s + c) @ w
+        m = [1.0] + [
+            sum(
+                math.comb(k, j) * ((s**j * c ** (k - j)) @ w) * m[j] * m[k - j]
+                for j in range(k + 1)
+            )
+            / t1**k
+            for k in range(1, kmax + 1)
+        ]
+        out[n] = m[1:]
+    return out
+
+
+@pytest.mark.parametrize("q", [0.6, 0.8, 2.0])
+@pytest.mark.parametrize("n_max", [1, 2, 60])
+def test_moment_trajectory_matches_per_step_recursion(q, n_max):
+    got = mo.moment_trajectory(q, 0.5, n_max)
+    ref = trajectory_per_step(q, 0.5, n_max)
+    assert got.shape == (n_max, 4)
+    assert np.all(got[0] == 1.0)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-7

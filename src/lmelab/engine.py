@@ -117,8 +117,12 @@ class RunRecord:
 def exact_Tn(q: float, epsilon: float) -> float:
     """T_n(q) = E[sin^{2q} + cos^{2q}] at scale eps, by adaptive quadrature.
 
-    Cached by (q, eps); the same eps recurs across runs whenever b/n
-    collide (e.g. halving b doubles the colliding n).
+    The quadrature calls its integrand about 550 times per scale, so the
+    integrand here and the density inside ``theta.expect_theta`` are both
+    ``math`` scalar code; through numpy 0-d arrays each call would cost
+    over ten times as much.  Cached by (q, eps); the same eps recurs
+    across runs whenever b/n collide (e.g. halving b doubles the
+    colliding n).
     """
     if not q > 0.5:
         raise ValueError(f"q must exceed 1/2, got {q}")

@@ -227,6 +227,8 @@ def moment_trajectory(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max == 1:
+        return np.ones((1, kmax))  # the unit pool; no angle moment is needed
     rows, col = _angle_moments(q, b, n_max, kmax)
     out = np.empty((n_max, kmax))
     out[0] = 1.0

@@ -87,15 +87,17 @@ def sample_sin2_cos2(law: ThetaLaw, rng: np.random.Generator, size):
     return 0.5 * (1.0 - inv), 0.5 * (1.0 + inv)
 
 
+def _density(s, sin2t, cos2t):
+    # r(theta) from s, sin 2theta and cos 2theta; floats and arrays alike
+    return 2.0 * s / (math.pi * (s * s * cos2t * cos2t + sin2t * sin2t))
+
+
 def theta_density(law: ThetaLaw, theta):
     """Density r(theta) on [-pi/4, pi/4]; raises outside the support."""
     th = np.asarray(theta, dtype=float)
     if np.any(np.abs(th) > _QUARTER_PI + 1e-15):
         raise ValueError("theta outside [-pi/4, pi/4]")
-    s = law.s
-    s2t = np.sin(2.0 * th)
-    c2t = np.cos(2.0 * th)
-    out = 2.0 * s / (math.pi * (s * s * c2t * c2t + s2t * s2t))
+    out = _density(law.s, np.sin(2.0 * th), np.cos(2.0 * th))
     return float(out) if np.isscalar(theta) else out
 
 
@@ -124,10 +126,17 @@ def expect_theta(
     *,
     tol: float = 1e-10,
 ) -> float:
-    """Adaptive quadrature of E[f(theta)] = int f r to absolute tol."""
+    """Adaptive quadrature of E[f(theta)] = int f r to absolute tol.
+
+    ``quad`` calls the integrand hundreds of times with a Python float t
+    inside [-pi/4, pi/4], so it evaluates the density with ``math`` scalars
+    and no range check; through :func:`theta_density`'s numpy path each
+    call would cost over ten times as much.
+    """
     edges = _peak_edges(law.epsilon)
+    s = law.s
     val, err = integrate.quad(
-        lambda t: f(t) * theta_density(law, t),
+        lambda t: f(t) * _density(s, math.sin(2.0 * t), math.cos(2.0 * t)),
         -_QUARTER_PI,
         _QUARTER_PI,
         points=[-p for p in reversed(edges)] + edges,

@@ -1,7 +1,9 @@
 """Pool-engine checks against the deterministic moment machinery."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lmelab import analytics as an
 from lmelab import engine as en
 from lmelab import moments as mo
 from lmelab import theta as th
+from lmelab.errors import QuadratureWarning
 
 
 def small_params(**kw):
@@ -57,6 +60,39 @@ class TestExactTn:
             law, lambda t: (math.sin(t) ** 2) ** q + (math.cos(t) ** 2) ** q
         )
         assert en.exact_Tn(q, eps) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.6, 0.8, 2.0])
+    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-4])
+    def test_matches_mpmath(self, q, eps):
+        # the closed-form density and the T_n integrand written afresh in
+        # mpmath; both are even, so twice the integral over [0, pi/4]
+        with mp.workdps(30):
+            s = mp.pi * mp.mpf(eps) / 2
+            mq = mp.mpf(q)
+
+            def integrand(t):
+                r = 2 * s / (mp.pi * (s**2 * mp.cos(2 * t) ** 2 + mp.sin(2 * t) ** 2))
+                return ((mp.sin(t) ** 2) ** mq + (mp.cos(t) ** 2) ** mq) * r
+
+            cuts = [c for c in (mp.mpf(eps), 10 * mp.mpf(eps)) if c < mp.pi / 4]
+            ref = float(2 * mp.quad(integrand, [0, *cuts, mp.pi / 4]))
+        # 1e-10 absolute is expect_theta's tolerance
+        assert abs(en.exact_Tn(q, eps) - ref) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.6, 0.8, 2.0])
+    def test_matches_folded_rule_along_schedule(self, q, monkeypatch):
+        # adaptive quadrature against the 64-node fixed rule over the scales
+        # eps = b/n a run visits; a tolerance miss fails instead of warning
+        monkeypatch.setattr(en, "_tn_cache", {})
+        b = 0.5
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            for n in np.unique(np.geomspace(1, 2000, 40).round().astype(int)):
+                nodes, w = th.folded_rule(th.ThetaLaw(b / n), 64)
+                ref = ((np.sin(nodes) ** 2) ** q + (np.cos(nodes) ** 2) ** q) @ w
+                worst = max(worst, abs(en.exact_Tn(q, b / n) / ref - 1.0))
+        assert worst <= 1e-8
 
 
 class TestStep:

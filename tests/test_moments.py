@@ -87,3 +87,20 @@ def test_moment_trajectory_matches_per_step_recursion(q, n_max):
     assert got.shape == (n_max, 4)
     assert np.all(got[0] == 1.0)
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("kmax", [1, 4])
+def test_single_scale_trajectory_needs_no_angle_moments(monkeypatch, kmax):
+    calls = []
+    rule = th.folded_rule
+
+    def counting_rule(*args, **kwargs):
+        calls.append(args)
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(th, "folded_rule", counting_rule)
+    got = mo.moment_trajectory(0.8, 0.5, 1, kmax)
+    assert calls == []
+    assert np.array_equal(got, np.ones((1, kmax)))
+    mo.moment_trajectory(0.8, 0.5, 2, kmax)
+    assert calls  # the counter sees the table when there is one to build

@@ -45,6 +45,26 @@ class TestDensity:
         assert r >= 0.0
         assert r == pytest.approx(th.theta_density(law, -t), rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0, 2.0])
+    def test_scalar_paths_match_array_path(self, eps):
+        # one density formula behind theta_density's scalar and array paths
+        # and expect_theta's math-scalar integrand
+        law = th.ThetaLaw(eps)
+        half = np.linspace(0.0, math.pi / 4, 101)
+        half = np.concatenate([half, [p for p in (eps, 10 * eps) if p < math.pi / 4]])
+        grid = np.concatenate([-half, half])
+        arr = th.theta_density(law, grid)
+        for t, r in zip(grid.tolist(), arr):
+            scalar = th.theta_density(law, t)
+            assert isinstance(scalar, float)
+            assert abs(scalar / r - 1.0) <= 1e-15
+            integrand = th._density(law.s, math.sin(2.0 * t), math.cos(2.0 * t))
+            assert abs(integrand / r - 1.0) <= 1e-15
+        with pytest.raises(ValueError):
+            th.theta_density(law, math.pi / 4 + 1e-9)
+        with pytest.raises(ValueError):
+            th.theta_density(law, np.array([0.0, -math.pi / 4 - 1e-9]))
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             th.theta_density(th.ThetaLaw(0.1), 1.0)

@@ -16,7 +16,12 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
   like a fractional power of n.
 * :func:`refine_stationary` solves the stationary equation directly
   (Newton-Krylov on the grid residual), which removes the finite-scale bias
-  floor; the recursion output is its natural initial guess.
+  floor; the recursion output is its natural initial guess.  The Krylov
+  iterations are preconditioned by a banded approximation of the Jacobian:
+  the derivative stencil and the diagonal exactly, the kernel integral with
+  the spline replaced by linear interpolation and cut to seven diagonals.
+  The residual and its Jacobian products stay exact, so the preconditioner
+  changes the number of iterations, not the equation solved.
 
 The stationary residual has an integrable endpoint singularity whose naive
 quadrature amplifies float cancellation by 1/theta^2; all evaluators here
@@ -37,8 +42,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.optimize import newton_krylov
 from scipy.optimize._nonlin import NoConvergence
+from scipy.sparse.linalg import LinearOperator
 
 from . import analytics, moments, theta
 from .errors import ContractViolation, QuadratureWarning
@@ -61,6 +68,8 @@ _SERIES_FIT_T_MAX = 0.8
 # Stationary-solve window: nodes beyond it carry no weight in the kernel
 # below t = _SOLVE_T_MAX/2 and are rebuilt as a log-linear continuation.
 _SOLVE_T_MAX = 120.0
+# Half-bandwidth, in grid nodes, of the stationary solve's preconditioner.
+_BAND = 3
 
 
 @dataclass(frozen=True)
@@ -314,6 +323,79 @@ def _fit_series_pinned(grid: GridFunction):
     return (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
 
 
+class _BandedJacobian(LinearOperator):
+    """Inverse of a banded approximation of the free-node Jacobian of
+    :func:`_residual_grid`: the preconditioner of the stationary solve.
+
+    Exact parts: the :func:`_dlog_derivative` stencil times T(q) plus the
+    t phi' coefficients of the small-angle part, and the diagonal terms
+    -sum(w / sin^2 cos^2), -t g_sing and m2 t^2 g_quad / 2.  Approximate
+    part: the kernel integral, linearized as fb dfa + fa dfb with the spline
+    replaced by linear interpolation in ln t and entries more than _BAND
+    nodes off the diagonal dropped.  On the log-uniform grid the argument
+    t_i c_k lies ln(c_k)/h nodes from node i whatever i is, so the
+    interpolation slots and weights depend on the angle node alone and are
+    found once per :func:`refine_stationary` call.
+
+    newton_krylov calls ``setup`` and ``update`` at each Newton step;
+    ``grid_of`` maps the free-node values to the full grid and is set before
+    each solve.
+    """
+
+    def __init__(self, q: float, t: np.ndarray, fidx: np.ndarray):
+        super().__init__(float, (fidx.size, fidx.size))
+        ker = _kernel(q)
+        h = math.log(t[1] / t[0])
+        self.t_free = t[fidx]
+        coef = 0.5 * ker.weights * ker.inv_s2c2
+        # per side: the angle nodes whose argument lands within the band,
+        # as (the other factor's scale c_k, weights on offsets -_BAND.._BAND)
+        self.sides = []
+        for own, other in ((ker.sin_pow, ker.cos_pow), (ker.cos_pow, ker.sin_pow)):
+            u = np.log(own) / h
+            lo = np.floor(u).astype(int)
+            w = np.zeros((own.size, 2 * _BAND + 1))
+            for off, share in ((lo, lo + 1 - u), (lo + 1, u - lo)):
+                k = np.where(np.abs(off) <= _BAND)[0]
+                w[k, off[k] + _BAND] += coef[k] * share[k]
+            keep = np.any(w != 0.0, axis=1)
+            if keep.any():
+                self.sides.append((other[keep], w[keep]))
+        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+        tf = self.t_free
+        dcoef = analytics.T_of_q(q) + 0.5 * q * (tf * ker.g_cross - ker.g_adv)
+        self.rows = np.zeros((fidx.size, 2 * _BAND + 1))
+        self.rows[:, _BAND - 2 : _BAND + 3] = dcoef[:, None] * stencil
+        self.rows[:, _BAND] -= np.sum(coef) + 0.5 * tf * ker.g_sing
+        self.quad_diag = 0.25 * tf * tf * ker.g_quad  # times m2
+        self.grid_of = None
+        self.ab = None
+
+    def setup(self, x, f, func):
+        self.update(x, f)
+
+    def update(self, x, f):
+        grid = self.grid_of(x)
+        ev = _evaluator(grid)
+        rows = self.rows.copy()
+        rows[:, _BAND] += 2.0 * grid.series[2] * self.quad_diag
+        for other, w in self.sides:
+            args = np.multiply.outer(self.t_free, other)
+            rows += ev(args.ravel()).reshape(args.shape) @ w
+        # rows[i, _BAND + d] is J[i, i + d]; solve_banded reads it at
+        # ab[_BAND - d, i + d].  Columns i + d outside the free nodes are
+        # frozen values and are dropped.
+        m = x.size
+        ab = np.zeros((2 * _BAND + 1, m))
+        for d in range(-_BAND, _BAND + 1):
+            lo, hi = max(d, 0), m + min(d, 0)
+            ab[_BAND - d, lo:hi] = rows[lo - d : hi - d, _BAND + d]
+        self.ab = ab
+
+    def _matvec(self, v):
+        return solve_banded((_BAND, _BAND), self.ab, v)
+
+
 def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     """Solve the stationary equation on the grid by Newton-Krylov.
 
@@ -325,6 +407,15 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     refreshed between six Newton solves until self-consistent.  Nodes
     beyond t = 120 carry no weight in the kernel below t = 60 and are
     rebuilt as a log-linear decay continuation.
+
+    Each solve is preconditioned by :class:`_BandedJacobian`: the
+    derivative stencil and the diagonal terms of the Jacobian are exact,
+    the kernel integral is linearized with linear interpolation in ln t and
+    kept within three nodes of the diagonal.  The residual, its
+    finite-difference Jacobian products and the f_tol 1e-11 stopping rule
+    are those of the unpreconditioned solve; the preconditioner cuts the
+    residual evaluations about sevenfold (1192 to 177 at q = 0.75 after a
+    1000-step schedule).
     """
     if not 0.5 < q < 1.0:
         raise ValueError(f"refinement requires q in (1/2, 1), got {q}")
@@ -334,6 +425,7 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     fidx = np.where(free)[0]
     phi = grid.phi.copy()
     series = grid.series
+    precond = _BandedJacobian(q, t, fidx)
     for _ in range(6):
         series = _fit_series_pinned(replace(grid, phi=phi))
         c0, c1, c2, c3, c4 = series
@@ -342,18 +434,23 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
 
         frozen = phi.copy()
 
-        def objective(u: np.ndarray) -> np.ndarray:
+        def grid_of(u: np.ndarray) -> GridFunction:
             p = frozen.copy()
             p[fidx] = u
-            g = GridFunction(t=t, phi=p, series=series)
-            return _residual_grid(q, g)[fidx]
+            return GridFunction(t=t, phi=p, series=series)
 
+        def objective(u: np.ndarray) -> np.ndarray:
+            return _residual_grid(q, grid_of(u))[fidx]
+
+        precond.grid_of = grid_of
         try:
             with warnings.catch_warnings():
                 # scipy's termination bookkeeping divides by an unset x_rtol
                 warnings.simplefilter("ignore", RuntimeWarning)
-                sol = newton_krylov(objective, phi[fidx], f_tol=1e-11, maxiter=80)
-        except NoConvergence as exc:  # pragma: no cover - defensive
+                sol = newton_krylov(
+                    objective, phi[fidx], f_tol=1e-11, maxiter=80, inner_M=precond
+                )
+        except NoConvergence as exc:
             raise ContractViolation(f"stationary solve failed: {exc}") from exc
         phi[fidx] = sol
 

@@ -1,9 +1,14 @@
 """Laplace-transform grid checks."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from scipy.optimize._nonlin import NoConvergence
 
 from lmelab import laplace as la
 from lmelab import moments as mo
+from lmelab.errors import ContractViolation
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +24,29 @@ def test_integer_t_matches_float_t(grid, t):
 
 
 @pytest.fixture(scope="module")
-def refined(grid):
-    return la.refine_stationary(0.75, grid)
+def counted_refine(grid):
+    """The refined grid and the number of residual evaluations it took."""
+    calls = 0
+    residual = la._residual_grid
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return residual(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "_residual_grid", counting)
+        out = la.refine_stationary(0.75, grid)
+    return out, calls
+
+
+@pytest.fixture(scope="module")
+def refined(counted_refine):
+    return counted_refine[0]
 
 
 T_POINTS = (0.01, 0.1, 1.0, 10.0)
+MOMENT_RTOL = (1e-6, 1e-5, 5e-4, 1e-2)
 
 
 def test_refine_removes_the_finite_scale_residual(grid, refined):
@@ -37,5 +60,67 @@ def test_refine_removes_the_finite_scale_residual(grid, refined):
 def test_refined_moments_match_the_moment_table(refined):
     est = la.moments_from_phi(refined, 4)
     exact = mo.moment_table(0.75, 4).M
-    for e, x, tol in zip(est, exact, (1e-6, 1e-5, 5e-4, 1e-2)):
+    for e, x, tol in zip(est, exact, MOMENT_RTOL):
         assert abs(e - x) / x <= tol
+
+
+def test_refine_is_preconditioned(counted_refine):
+    # the banded preconditioner takes 134 residual evaluations over the six
+    # solves; unpreconditioned Newton-Krylov takes about 1940
+    assert counted_refine[1] < 400
+
+
+@pytest.mark.parametrize("q", [0.6, 0.9])
+def test_refine_at_other_q(q):
+    out = la.refine_stationary(q, la.iterate_phi(q, 0.5, 1, 100, la.make_grid()))
+    for t in T_POINTS:
+        assert abs(la.stationary_residual(q, out, t)) <= 1e-9
+    est = la.moments_from_phi(out, 4)
+    for e, x, tol in zip(est, mo.moment_table(q, 4).M, MOMENT_RTOL):
+        assert abs(e - x) / x <= tol
+
+
+def test_failed_solve_is_a_contract_violation(grid, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("iteration limit")
+
+    monkeypatch.setattr(la, "newton_krylov", no_convergence)
+    with pytest.raises(ContractViolation, match="stationary solve failed"):
+        la.refine_stationary(0.75, grid)
+
+
+@pytest.mark.parametrize("init", ["delta", "exponential"])
+def test_fresh_grids_pass_the_invariants(init):
+    la.make_grid(init).check_invariants()
+
+
+def _perturbed(edit):
+    g = la.make_grid("exponential")
+    phi = g.phi.copy()
+    edit(phi, int(np.searchsorted(g.t, 1.0)))
+    return replace(g, phi=phi)
+
+
+def _above_one(phi, i):
+    phi[0] = 1.0 + 1e-12
+
+
+def _rising_step(phi, i):
+    phi[i] = phi[i - 1] + 1e-6
+
+
+def _concave_kink(phi, i):
+    phi[i] = phi[i - 1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_above_one, r"\(0, 1\]"),
+        (_rising_step, "non-increasing"),
+        (_concave_kink, "convexity"),
+    ],
+)
+def test_invariant_breaches_are_contract_violations(edit, message):
+    with pytest.raises(ContractViolation, match=message):
+        _perturbed(edit).check_invariants()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lmelab import chain as ch
+from lmelab.errors import ContractViolation
 from lmelab.streams import DOMAIN_TEST, derive_stream
 
 
@@ -16,9 +17,9 @@ def rng_for(tag: int):
 
 class TestInit:
     def test_basis_vectors_have_unit_ipr(self):
-        state = ch.init_chain(64, rng_for(0))
+        vectors = ch.init_chain(64, rng_for(0)).vectors
         for q in (0.7, 1.0, 2.0, 3.5):
-            assert all(ch.ipr(v, q) == 1.0 for v in state.vectors)
+            assert all(ch.ipr(v, q) == 1.0 for v in vectors)
 
     def test_level_variance(self):
         state = ch.init_chain(4096, rng_for(1))
@@ -28,6 +29,19 @@ class TestInit:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             ch.init_chain(8, rng_for(2))
+
+    def test_size_cap(self, monkeypatch):
+        # the dense state takes 8 N^2 bytes; a stand-in for np.eye keeps the
+        # accepted size from allocating its 512 MiB
+        sizes = []
+        monkeypatch.setattr(ch.np, "eye", lambda n: sizes.append(n))
+        assert ch.RgParams(N=8192, b=0.3, n_max=8).N == 8192
+        assert ch.init_chain(8192, rng_for(12)).N == 8192
+        with pytest.raises(ValueError, match="N must be <= 8192"):
+            ch.RgParams(N=8193, b=0.3, n_max=8)
+        with pytest.raises(ValueError, match="N must be <= 8192"):
+            ch.init_chain(8193, rng_for(13))
+        assert sizes == [8192]
 
 
 class TestIpr:
@@ -48,6 +62,21 @@ class TestIpr:
         v = np.zeros(32)
         v[3] = 1.0
         assert ch.ipr(v, 2.0) == 1.0
+
+    def test_one_value_per_row(self):
+        rng = rng_for(14)
+        rows = rng.standard_normal((6, 20))
+        rows[:, ::3] = 0.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        # empty rows first, inside and last
+        rows = np.vstack([np.zeros(20), rows[:3], np.zeros(20), rows[3:], np.zeros(20)])
+        for q in (0.75, 2.0):
+            got = ch.ipr(rows, q)
+            assert got.shape == (9,)
+            for row, p in zip(rows, got):
+                sparse = {k: a for k, a in enumerate(row) if a != 0.0}
+                assert p == pytest.approx(ch.ipr(sparse, q), rel=1e-14)
+        assert np.array_equal(ch.ipr(np.zeros((3, 4)), 2.0), np.zeros(3))
 
 
 class TestStepScale:
@@ -87,14 +116,15 @@ class TestStepScale:
         state = ch.init_chain(512, rng)
         for _ in range(64):
             state = ch.step_scale(state, params, rng)
-        norms = [math.sqrt(sum(a * a for a in v.values())) for v in state.vectors]
+        vectors = state.vectors
+        norms = [math.sqrt(sum(a * a for a in v.values())) for v in vectors]
         assert max(abs(x - 1.0) for x in norms) <= 1e-12
         pick = rng_for(8)
         for _ in range(100):
             i, j = pick.integers(0, 512, 2)
             if i == j:
                 continue
-            vi, vj = state.vectors[i], state.vectors[j]
+            vi, vj = vectors[i], vectors[j]
             dot = sum(a * vj.get(site, 0.0) for site, a in vi.items())
             assert abs(dot) <= 1e-10
 
@@ -105,10 +135,11 @@ class TestStepScale:
         state = ch.init_chain(64, rng)
         state = ch.step_scale(state, params, rng)
         q = 1.7
+        vectors = state.vectors
         for ev in state.resonance_log:
             c2q = math.cos(ev.theta) ** 2
             s2q = math.sin(ev.theta) ** 2
-            got = ch.ipr(state.vectors[ev.i], q)
+            got = ch.ipr(vectors[ev.i], q)
             expect = c2q**q * 1.0 + s2q**q * 1.0  # parents were basis vectors
             assert got == pytest.approx(expect, rel=1e-12)
             assert not ev.overlapped
@@ -155,11 +186,66 @@ class TestRunFlow:
             fracs.append(ch.run_flow(params)["overlap_fraction"])
         assert fracs[0] < fracs[1] < fracs[2]
 
+    def test_orthonormality_contract(self, monkeypatch):
+        params = ch.RgParams(N=256, b=0.3, n_max=16, seed=29)
+        assert ch.run_flow(params)["orthonormality_err"] <= 1e-12
+        step = ch.step_scale
+
+        def sloppy_step(state, params, rng):
+            # the first rotation leaves one row 1e-6 too long
+            state = step(state, params, rng)
+            if state.n == 1:
+                state.V[state.resonance_log[0].i] *= 1.0 + 1e-6
+            return state
+
+        monkeypatch.setattr(ch, "step_scale", sloppy_step)
+        with pytest.raises(ContractViolation, match="orthonormality"):
+            ch.run_flow(params)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ch.RgParams(N=64, b=0.3, n_max=64, a=0.6)
         with pytest.raises(ValueError):
             ch.RgParams(N=64, b=0.3, n_max=40)
+
+
+class TestReplayOracle:
+    def test_log_replays_against_2x2_eigh(self, monkeypatch):
+        """Each logged rotation against numpy's eigh of its 2x2 block, then
+        the whole log replayed on the identity."""
+        n = 256
+        # three rows per update block, so each scale's rotations span
+        # several blocks and a ragged last one
+        monkeypatch.setattr(ch, "_BLOCK_BYTES", 3 * 8 * n)
+        params = ch.RgParams(N=n, b=0.3, n_max=32, seed=31)
+        rng = rng_for(15)
+        state = ch.init_chain(n, rng)
+        levels = state.E.copy()
+        replay = np.eye(n)
+        done = 0
+        for _ in range(32):
+            state = ch.step_scale(state, params, rng)
+            for ev in state.resonance_log[done:]:
+                i, j = ev.i, ev.j
+                assert abs(ev.e_i_old - levels[i]) <= 1e-12
+                assert abs(ev.e_j_old - levels[j]) <= 1e-12
+                block = np.array([[ev.e_i_old, ev.h], [ev.h, ev.e_j_old]])
+                low, high = np.linalg.eigh(block)[0]
+                # continuity: the slot with the higher level keeps the higher one
+                new = (high, low) if ev.e_i_old >= ev.e_j_old else (low, high)
+                assert abs(state.E[i] - new[0]) <= 1e-12
+                assert abs(state.E[j] - new[1]) <= 1e-12
+                c, s = math.cos(ev.theta), math.sin(ev.theta)
+                rot = np.array([[c, -s], [s, c]])
+                assert np.abs(rot @ block @ rot.T - np.diag(new)).max() <= 1e-12
+                levels[i], levels[j] = new
+                row_i = replay[i].copy()
+                replay[i] = c * row_i - s * replay[j]
+                replay[j] = s * row_i + c * replay[j]
+            done = len(state.resonance_log)
+        assert done > 300
+        assert np.abs(replay - state.V).max() <= 1e-12
+        assert np.abs(levels - state.E).max() <= 1e-12
 
 
 class TestPathSum:

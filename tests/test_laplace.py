@@ -65,9 +65,10 @@ def test_refined_moments_match_the_moment_table(refined):
 
 
 def test_refine_is_preconditioned(counted_refine):
-    # the banded preconditioner takes 134 residual evaluations over the six
-    # solves; unpreconditioned Newton-Krylov takes about 1940
-    assert counted_refine[1] < 400
+    # the banded preconditioner with a fixed inner tolerance takes 77
+    # residual evaluations over the six solves; with scipy's shrinking
+    # inner tolerance it takes 134, unpreconditioned about 1940
+    assert counted_refine[1] < 150
 
 
 @pytest.mark.parametrize("q", [0.6, 0.9])

@@ -36,7 +36,6 @@ __all__ = [
     "UNBOUNDED",
     "ExponentReport",
     "CriticalPoints",
-    "log_gamma",
     "T_of_q",
     "T_quadrature",
     "T_prime",
@@ -94,17 +93,6 @@ class CriticalPoints:
 def _check_q(q: float) -> None:
     if not q > 0.5:
         raise ValueError(f"q must exceed 1/2, got {q}")
-
-
-def log_gamma(x: float) -> tuple[float, int]:
-    """Return (ln|Gamma(x)|, sign of Gamma(x)).
-
-    Raises ValueError at the poles (non-positive integers).  Relative
-    accuracy of the log is that of scipy's gammaln (<= 1e-13 on (0, 100]).
-    """
-    if x <= 0 and float(x) == int(x):
-        raise ValueError(f"Gamma pole at non-positive integer x={x}")
-    return float(gammaln(x)), int(gammasgn(x))
 
 
 def T_of_q(q: float) -> float:

@@ -160,23 +160,18 @@ def step_max(pool: BrwPool, rngs) -> BrwPool:
     )
 
 
-def _mean_se(values: np.ndarray, blocks: int) -> tuple[float, float]:
-    _, mean, se = block_mean_se(values, blocks)
-    return mean, se
-
-
 def run_cascade(params: BrwParams) -> dict:
     """Cascade to the requested depth; per-depth mean, SE, median, E[M^2]."""
     pool = init_pool(params)
     rec = {"n": [], "mean": [], "se": [], "median": [], "m2": [], "m2_se": []}
 
     def note(pool):
-        mean, se = _mean_se(pool.M_values, pool.blocks)
+        _, mean, se = block_mean_se(pool.M_values, pool.blocks)
         rec["n"].append(pool.n)
         rec["mean"].append(mean)
         rec["se"].append(se)
         rec["median"].append(float(np.median(pool.M_values)))
-        m2, m2_se = _mean_se(pool.M_values**2, pool.blocks)
+        _, m2, m2_se = block_mean_se(pool.M_values**2, pool.blocks)
         rec["m2"].append(m2)
         rec["m2_se"].append(m2_se)
 
@@ -195,8 +190,8 @@ def run_derivative(params: BrwParams) -> dict:
     rec = {"n": [], "d_mean": [], "d_se": [], "d_median": [], "m_mean": [], "m_se": []}
     for step_index in range(params.depth):
         pool = step_derivative(pool, _block_rngs(params, step_index))
-        d_mean, d_se = _mean_se(pool.D_values, pool.blocks)
-        m_mean, m_se = _mean_se(pool.M_values, pool.blocks)
+        _, d_mean, d_se = block_mean_se(pool.D_values, pool.blocks)
+        _, m_mean, m_se = block_mean_se(pool.M_values, pool.blocks)
         rec["n"].append(pool.n)
         rec["d_mean"].append(d_mean)
         rec["d_se"].append(d_se)

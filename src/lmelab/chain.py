@@ -21,9 +21,7 @@ Inverse participation ratios of the tracked vectors then realize, up to
 the model's approximations, the pairwise mixing recursion that the pool
 engine evolves in the abstract; the flow record carries the empirical
 resonance density and the level-density calibration beta needed to compare
-the two quantitatively.  The separate path-sum model evolves one dense
-amplitude field with angle draws at every site, the transfer-operator view
-of the same recursion.
+the two quantitatively.
 """
 
 from __future__ import annotations
@@ -33,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import theta
 from .engine import _checkpoints
 from .errors import ContractViolation
-from .streams import DOMAIN_CHAIN, DOMAIN_PATHSUM, derive_stream
+from .streams import DOMAIN_CHAIN, derive_stream
 
 __all__ = [
     "MAX_N",
@@ -48,7 +45,6 @@ __all__ = [
     "step_scale",
     "ipr",
     "run_flow",
-    "path_sum_eigenvector",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -65,6 +61,11 @@ ORTHONORMALITY_TOL = 1e-10
 # one scale's update took about 11 ms this way against 32 ms for all rows at
 # once, while N = 1024 gained under 0.4 ms.
 _BLOCK_BYTES = 1 << 17
+
+# Rows per block of the orthonormality check's Gram product: each block
+# holds about 8 MiB, against 8 N^2 bytes (128 MiB at N = 4096) for the
+# whole Gram matrix at once.
+_GRAM_BYTES = 1 << 23
 
 
 def _check_size(N: int) -> None:
@@ -251,10 +252,17 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
 
 
 def _orthonormality_err(V: np.ndarray) -> float:
-    """max |V V^T - I| from one Gram product."""
-    gram = V @ V.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.abs(gram, out=gram).max())
+    """max |V V^T - I|, from the upper triangle of the Gram matrix in row
+    blocks of about :data:`_GRAM_BYTES`, so no second (N, N) array is held."""
+    n = len(V)
+    rows = max(1, _GRAM_BYTES // V[0].nbytes)
+    err = 0.0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        gram = V[lo:hi] @ V[lo:].T
+        gram[np.diag_indices(hi - lo)] -= 1.0
+        err = max(err, float(np.abs(gram, out=gram).max()))
+    return err
 
 
 def run_flow(params: RgParams) -> dict:
@@ -319,37 +327,3 @@ def run_flow(params: RgParams) -> dict:
     # calibration averaged over the scales actually flowed
     out["beta_emp"] = float(np.mean(out["beta_m"][1 : params.n_max + 1]))
     return out
-
-
-def path_sum_eigenvector(
-    params: RgParams, site: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Dense amplitude map of the transfer-operator vector rooted at a site.
-
-    At each scale the field mixes every site with its +-(n+1) neighbours
-    through independent resonance angles and a fair coin choosing the
-    direction; iterating the transposed one-scale operator on a basis
-    vector sums the same weights as the full path expansion.  The operator
-    is only approximately isometric, so callers normalize before taking
-    participation ratios.
-    """
-    if not 0 <= site < params.N:
-        raise ValueError("site outside the chain")
-    u = np.zeros(params.N)
-    u[site] = 1.0
-    for scale_index in range(params.n_max - 1, -1, -1):
-        jump = scale_index + 1
-        stream = (
-            rng
-            if rng is not None
-            else derive_stream(params.seed, (DOMAIN_PATHSUM, scale_index, site))
-        )
-        law = theta.ThetaLaw(params.b / jump)
-        th_plus = theta.sample_theta(law, stream, params.N)
-        th_minus = theta.sample_theta(law, stream, params.N)
-        sigma = stream.integers(0, 2, params.N).astype(float)
-        stay = sigma * np.cos(th_plus) + (1.0 - sigma) * np.cos(th_minus)
-        up = sigma * np.sin(th_plus)
-        down = (1.0 - sigma) * np.sin(th_minus)
-        u = stay * u + np.roll(up * u, jump) + np.roll(down * u, -jump)
-    return u

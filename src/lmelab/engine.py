@@ -202,20 +202,6 @@ def step(pool: SamplePool, params: LmeParams) -> SamplePool:
     )
 
 
-def _block_stats(pool: SamplePool, powers) -> dict:
-    """Per-checkpoint statistics.
-
-    The pool is normalized by the deterministic T_n, so raw block moments
-    are exactly unbiased for the moments of the normalized ratio; block
-    independence makes their spread an honest standard error.
-    """
-    out = {"raw": {}, "raw_se": {}}
-    _, out["mean"], out["mean_se"] = block_mean_se(pool.values, pool.blocks)
-    for p in powers:
-        _, out["raw"][p], out["raw_se"][p] = block_mean_se(pool.values**p, pool.blocks)
-    return out
-
-
 def _checkpoints(n_max: int) -> list[int]:
     pts = []
     n = 1
@@ -237,14 +223,15 @@ def run(params: LmeParams) -> RunRecord:
     pool = init_pool(params)
 
     def record(pool):
-        st = _block_stats(pool, params.track_powers)
         rec.ns.append(pool.n)
         rec.logZ.append(pool.logZ)
-        rec.means.append(st["mean"])
-        rec.mean_ses.append(st["mean_se"])
+        _, mean, se = block_mean_se(pool.values, pool.blocks)
+        rec.means.append(mean)
+        rec.mean_ses.append(se)
         for p in params.track_powers:
-            rec.moments[p].append(st["raw"][p])
-            rec.ses[p].append(st["raw_se"][p])
+            _, mean, se = block_mean_se(pool.values**p, pool.blocks)
+            rec.moments[p].append(mean)
+            rec.ses[p].append(se)
 
     if 1 in marks:
         record(pool)

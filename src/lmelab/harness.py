@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from .chain import _check_size
 from .errors import ConfigError
 
 __all__ = [
-    "RunManifest",
     "SCHEMAS",
     "parse_config",
     "config_from_file",
@@ -64,6 +63,14 @@ def _positive(name):
     return check
 
 
+def _chain_size(value: int) -> int:
+    try:
+        _check_size(value)
+    except ValueError as exc:
+        raise ConfigError(f"key 'N': {exc}") from exc
+    return value
+
+
 # key -> (parser, default or REQUIRED, optional validator)
 _REQUIRED = object()
 
@@ -100,13 +107,12 @@ SCHEMAS: dict[str, dict] = {
     "brw": {
         "mode": (str, "cascade", None),
         "beta": (float, 0.8326, _positive("beta")),
-        "p": (float, 2.0, _positive("p")),
         "depth": (int, 40, _positive("depth")),
         "replicas": (int, 1_000_000, _positive("replicas")),
         "seed": (int, 0, None),
     },
     "rg-chain": {
-        "N": (int, 4096, _positive("N")),
+        "N": (int, 4096, _chain_size),
         "b": (float, 0.3, _positive("b")),
         "a": (float, 0.4, None),
         "n_max": (int, 100, _positive("n_max")),
@@ -122,19 +128,6 @@ SCHEMAS: dict[str, dict] = {
         "seed": (int, 0, None),
     },
 }
-
-
-@dataclass
-class RunManifest:
-    """Sidecar metadata; the one place wall time lives (data files stay
-    byte-identical across reruns)."""
-
-    subcommand: str
-    config: dict
-    version: str
-    wall_time_s: float
-    tolerances: dict
-    files: list[str] = field(default_factory=list)
 
 
 def parse_config(text: str, subcommand: str) -> dict:
@@ -236,24 +229,18 @@ def write_manifest(
     wall_time_s: float,
     tolerances: dict | None = None,
 ) -> Path:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        config=config,
-        version=version_string(),
-        wall_time_s=wall_time_s,
-        tolerances=tolerances or {},
-        files=files,
-    )
+    """Write the run's one JSON manifest, the only place wall time lives
+    (data files stay byte-identical across reruns)."""
     path = out_dir / f"{subcommand}_manifest.json"
     write_json(
         path,
         {
-            "subcommand": manifest.subcommand,
-            "config": manifest.config,
-            "version": manifest.version,
-            "wall_time_s": manifest.wall_time_s,
-            "tolerances": manifest.tolerances,
-            "files": manifest.files,
+            "subcommand": subcommand,
+            "config": config,
+            "version": version_string(),
+            "wall_time_s": wall_time_s,
+            "tolerances": tolerances or {},
+            "files": files,
         },
     )
     return path

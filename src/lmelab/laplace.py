@@ -134,7 +134,8 @@ def _series_from_moments(m: np.ndarray) -> tuple[float, ...]:
 
 
 def _evaluator(grid: GridFunction):
-    """Vectorized phi(arg): spline in ln t, series head, clamped top end."""
+    """Vectorized phi(arg) on arrays of any shape: spline in ln t, series
+    head, clamped top end."""
     lnt = np.log(grid.t)
     cs = CubicSpline(lnt, grid.phi, extrapolate=False)
     lo, hi = lnt[0], lnt[-1]
@@ -202,10 +203,8 @@ def iterate_phi(
         if (n - n_start) % 256 == 0:
             series = _series_from_moments(traj[n - 1])
         ev = _evaluator(GridFunction(t=t, phi=phi, series=series))
-        args_a = np.multiply.outer(t, a_pow / t_n)
-        args_b = np.multiply.outer(t, b_pow / t_n)
-        fa = ev(args_a.ravel()).reshape(args_a.shape)
-        fb = ev(args_b.ravel()).reshape(args_b.shape)
+        fa = ev(np.multiply.outer(t, a_pow / t_n))
+        fb = ev(np.multiply.outer(t, b_pow / t_n))
         new = (fa * fb) @ w
         phi, dist = _isotonic(new)
         # the projection distance is a contract, not a crutch
@@ -306,10 +305,8 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     h = math.log(t[1] / t[0])
     ev = _evaluator(grid)
     tphip = _dlog_derivative(grid.phi, h)
-    args_a = np.multiply.outer(t, ker.sin_pow)
-    args_b = np.multiply.outer(t, ker.cos_pow)
-    fa = ev(args_a.ravel()).reshape(args_a.shape)
-    fb = ev(args_b.ravel()).reshape(args_b.shape)
+    fa = ev(np.multiply.outer(t, ker.sin_pow))
+    fb = ev(np.multiply.outer(t, ker.cos_pow))
     main = ((fa * fb - grid.phi[:, None]) * ker.inv_s2c2[None, :]) @ ker.weights
     m2 = 2.0 * grid.series[2]
     small = ker.small_part(t, grid.phi, tphip, m2)
@@ -387,8 +384,7 @@ class _BandedJacobian(LinearOperator):
         rows = self.rows.copy()
         rows[:, _BAND] += 2.0 * grid.series[2] * self.quad_diag
         for other, w in self.sides:
-            args = np.multiply.outer(self.t_free, other)
-            rows += ev(args.ravel()).reshape(args.shape) @ w
+            rows += ev(np.multiply.outer(self.t_free, other)) @ w
         # rows[i, _BAND + d] is J[i, i + d]; solve_banded reads it at
         # ab[_BAND - d, i + d].  Columns i + d outside the free nodes are
         # frozen values and are dropped.
@@ -431,7 +427,6 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     free = (~collar) & (t <= _SOLVE_T_MAX)
     fidx = np.where(free)[0]
     phi = grid.phi.copy()
-    series = grid.series
     precond = _BandedJacobian(q, t, fidx)
     for _ in range(6):
         series = _fit_series_pinned(replace(grid, phi=phi))

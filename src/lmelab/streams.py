@@ -21,7 +21,6 @@ __all__ = [
     "DOMAIN_BRW",
     "DOMAIN_CHAIN",
     "DOMAIN_PRBM",
-    "DOMAIN_PATHSUM",
     "DOMAIN_TEST",
     "derive_stream",
 ]
@@ -31,7 +30,6 @@ DOMAIN_LME = 1
 DOMAIN_BRW = 2
 DOMAIN_CHAIN = 3
 DOMAIN_PRBM = 4
-DOMAIN_PATHSUM = 5
 DOMAIN_TEST = 14
 
 # bit widths for (domain, major, minor) label packing

@@ -1,8 +1,8 @@
 """Exponent and critical-point checks against independent oracles.
 
 Oracles used here: adaptive quadrature of the defining integral for T,
-central finite differences for T', the Gamma reflection formula for
-log_gamma, and direct sign-change scans for every root-finding routine.
+central finite differences for T', and direct sign-change scans for every
+root-finding routine.
 """
 
 import math
@@ -15,36 +15,6 @@ from hypothesis import strategies as st
 from lmelab import analytics as an
 from lmelab.analytics import UNBOUNDED
 from lmelab.errors import ContractViolation
-
-
-class TestLogGamma:
-    def test_gamma_one(self):
-        val, sign = an.log_gamma(1.0)
-        assert val == pytest.approx(0.0, abs=1e-15)
-        assert sign == 1
-
-    def test_gamma_half(self):
-        val, sign = an.log_gamma(0.5)
-        assert val == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-        assert sign == 1
-
-    def test_negative_quarter_reflection(self):
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x) with x = -1/4
-        val, sign = an.log_gamma(-0.25)
-        expected = (
-            math.log(math.pi)
-            - math.log(abs(math.sin(-0.25 * math.pi)))
-            - math.lgamma(1.25)
-        )
-        assert sign == -1
-        assert val == pytest.approx(expected, rel=1e-13)
-        # spec-level sanity: |Gamma(-1/4)| ~ 4.9017
-        assert math.exp(val) == pytest.approx(4.901666809860711, rel=1e-10)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-    def test_pole_error(self, x):
-        with pytest.raises(ValueError):
-            an.log_gamma(x)
 
 
 class TestT:

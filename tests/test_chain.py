@@ -1,5 +1,5 @@
-"""Chain-flow checks: exact rotation algebra, resonance statistics, and the
-transfer-operator eigenvector model."""
+"""Chain-flow checks: exact rotation algebra, resonance statistics, the
+orthonormality contract, and a replay of the rotation log."""
 
 import math
 
@@ -202,6 +202,17 @@ class TestRunFlow:
         with pytest.raises(ContractViolation, match="orthonormality"):
             ch.run_flow(params)
 
+    @pytest.mark.parametrize("i, j", [(0, 5), (130, 2), (255, 200)])
+    def test_blocked_gram_matches_full_product(self, monkeypatch, i, j):
+        # nine rows per Gram block, the last one ragged; the leak from row j
+        # into row i (i > j puts it below the diagonal) is what it must find
+        monkeypatch.setattr(ch, "_GRAM_BYTES", 9 * 8 * 256)
+        V = ch.run_flow(ch.RgParams(N=256, b=0.3, n_max=16, seed=29))["last_state"].V
+        V[i] += 1e-7 * V[j]
+        full = np.abs(V @ V.T - np.eye(256)).max()
+        assert full > 1e-8
+        assert abs(ch._orthonormality_err(V) - full) <= 1e-15
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             ch.RgParams(N=64, b=0.3, n_max=64, a=0.6)
@@ -246,45 +257,3 @@ class TestReplayOracle:
         assert done > 300
         assert np.abs(replay - state.V).max() <= 1e-12
         assert np.abs(levels - state.E).max() <= 1e-12
-
-
-class TestPathSum:
-    def test_single_step_two_site_vector(self):
-        # force theta+ = pi/6 and sigma = 1 through a stub stream
-        class Stub:
-            def __init__(self):
-                self.calls = 0
-
-            def standard_cauchy(self, n):
-                # theta = arctan(s*C)/2 = pi/6 requires C = tan(pi/3)/s
-                law_s = 0.5 * math.pi * 0.5  # b=0.5, jump 1
-                return np.full(n, math.tan(math.pi / 3.0) / law_s)
-
-            def integers(self, lo, hi, n):
-                return np.ones(n, dtype=int)
-
-        params = ch.RgParams(N=64, b=0.5, n_max=1, seed=0)
-        u = ch.path_sum_eigenvector(params, 10, Stub())
-        assert u[10] == pytest.approx(math.cos(math.pi / 6), rel=1e-12)
-        assert u[11] == pytest.approx(math.sin(math.pi / 6), rel=1e-12)
-        assert ch.ipr(u, 2.0) == pytest.approx(
-            1.0 - 0.5 * math.sin(math.pi / 3.0) ** 2, rel=1e-12
-        )
-
-    def test_median_ipr_decays_with_depth(self):
-        medians = []
-        for n_max in (8, 32):
-            params = ch.RgParams(N=256, b=0.4, n_max=n_max, seed=23)
-            vals = []
-            for k in range(40):
-                rng = derive_stream(23, (DOMAIN_TEST, 100 + 40 * n_max + k))
-                u = ch.path_sum_eigenvector(params, k % 256, rng)
-                u = u / np.linalg.norm(u)
-                vals.append(ch.ipr(u, 2.0))
-            medians.append(np.median(vals))
-        assert medians[1] < medians[0]
-
-    def test_size_cap(self):
-        params = ch.RgParams(N=64, b=0.3, n_max=4, seed=1)
-        with pytest.raises(ValueError):
-            ch.path_sum_eigenvector(params, 70, rng_for(11))

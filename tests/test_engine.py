@@ -110,8 +110,8 @@ class TestStep:
         for _ in range(30):
             pool = en.step(pool, params)
         assert np.all(pool.values >= 0.0)
-        st = en._block_stats(pool, ())
-        assert abs(st["mean"] - 1.0) <= 5.0 * st["mean_se"]
+        _, mean, se = en.block_mean_se(pool.values, pool.blocks)
+        assert abs(mean - 1.0) <= 5.0 * se
 
     def test_deterministic_replay(self):
         params = small_params(n_max=30)

@@ -17,16 +17,22 @@ def test_defaults_applied():
 
 
 @pytest.mark.parametrize(
-    "text, key",
+    "subcommand, text, key",
     [
-        (BASE + "pool = 10\n", "pool"),
-        (BASE + "seed = 1\nseed = 2\n", "seed"),
-        (BASE + "n_max = ten\n", "n_max"),
-        ("b = 0.5\n", "q"),
-        (BASE + "checkpoints = 1,2\n", "checkpoints"),
+        ("simulate-lme", BASE + "pool = 10\n", "pool"),
+        ("simulate-lme", BASE + "seed = 1\nseed = 2\n", "seed"),
+        ("simulate-lme", BASE + "n_max = ten\n", "n_max"),
+        ("simulate-lme", "b = 0.5\n", "q"),
+        ("simulate-lme", BASE + "checkpoints = 1,2\n", "checkpoints"),
+        ("brw", "p = 2\n", "p"),
+        ("rg-chain", "N = 15\n", "N"),
+        ("rg-chain", "N = 8193\n", "N"),
     ],
-    ids=["unknown", "duplicate", "mistyped", "missing", "unread-checkpoints"],
+    ids=[
+        "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
+        "brw-unread-p", "rg-chain-N-below-16", "rg-chain-N-above-cap",
+    ],
 )
-def test_rejections_name_the_key(text, key):
+def test_rejections_name_the_key(subcommand, text, key):
     with pytest.raises(ConfigError, match=f"'{key}'"):
-        harness.parse_config(text, "simulate-lme")
+        harness.parse_config(text, subcommand)

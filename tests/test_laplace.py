@@ -73,7 +73,7 @@ def test_refine_is_preconditioned(counted_refine):
 
 @pytest.mark.parametrize("q", [0.6, 0.9])
 def test_refine_at_other_q(q):
-    out = la.refine_stationary(q, la.iterate_phi(q, 0.5, 1, 100, la.make_grid()))
+    out = la.converge_grid(q, 0.5, n_schedule=100)
     for t in T_POINTS:
         assert abs(la.stationary_residual(q, out, t)) <= 1e-9
     est = la.moments_from_phi(out, 4)

@@ -49,11 +49,30 @@ __all__ = [
 BETA_C = 1.1774100225154747
 
 _MAX_DEPTH = 40
+_BLOCKS = 32
+# the simulations a brw config selects with its ``mode`` key, one per
+# run_* entry point
+_MODES = ("cascade", "derivative", "max")
 _TREE_DEPTH_CAP = 20
 # moment_blowup_check lets the Hill index alone call a verdict only when it
 # lies this far from p; the band sits inside the 0.2 contract margin
 # around the threshold beta_c^2/beta^2.
 _TAIL_INDEX_BAND = 0.15
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; use one of {', '.join(_MODES)}")
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 1 or depth > _MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{_MAX_DEPTH}, got {depth}")
+
+
+def _check_replicas(replicas: int, blocks: int = _BLOCKS) -> None:
+    if replicas < blocks or replicas % blocks != 0:
+        raise ValueError(f"replicas must be a positive multiple of {blocks}, got {replicas}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +81,11 @@ class BrwParams:
     depth: int
     replicas: int = 1_000_000
     seed: int = 0
-    blocks: int = 32
+    blocks: int = _BLOCKS
 
     def __post_init__(self):
-        if self.depth < 1 or self.depth > _MAX_DEPTH:
-            raise ValueError(f"depth must be in 1..{_MAX_DEPTH}, got {self.depth}")
-        if self.replicas % self.blocks != 0:
-            raise ValueError("replicas must divide into blocks")
+        _check_depth(self.depth)
+        _check_replicas(self.replicas, self.blocks)
 
 
 @dataclass

@@ -75,6 +75,11 @@ def _check_size(N: int) -> None:
         raise ValueError(f"N must be <= {MAX_N} (dense state of 8 N^2 bytes), got {N}")
 
 
+def _check_a(a: float) -> None:
+    if not 0.0 < a < 0.5:
+        raise ValueError(f"resonance exponent a must lie in (0, 1/2), got {a}")
+
+
 @dataclass(frozen=True)
 class RgParams:
     N: int
@@ -87,8 +92,7 @@ class RgParams:
 
     def __post_init__(self):
         _check_size(self.N)
-        if not 0.0 < self.a < 0.5:
-            raise ValueError(f"resonance exponent a must lie in (0, 1/2), got {self.a}")
+        _check_a(self.a)
         if self.n_max > self.N // 2:
             raise ValueError("n_max must not exceed N/2")
         if not self.b > 0:
@@ -155,7 +159,8 @@ def ipr(vector, q: float) -> float | np.ndarray:
         vector = list(vector.values())
     amps = np.asarray(vector, dtype=float)
     support = amps != 0.0
-    p = np.square(amps[support])  # the nonzero entries, row after row
+    p = amps[support]  # a copy of the nonzero entries, row after row
+    np.square(p, out=p)
     np.power(p, q, out=p)
     if amps.ndim == 1:
         return float(p.sum())

@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 _tn_cache: dict[tuple[float, float], float] = {}
+_BLOCKS = 32
+
+
+def _check_pool_size(pool_size: int, blocks: int = _BLOCKS) -> None:
+    if pool_size < 1000:
+        raise ValueError("pool_size must be >= 1000")
+    if pool_size % blocks != 0:
+        raise ValueError(f"pool_size {pool_size} not divisible by {blocks} blocks")
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class LmeParams:
     pool_size: int = 100_000
     seed: int = 0
     track_powers: tuple[float, ...] = (2.0, 3.0)
-    blocks: int = 32
+    blocks: int = _BLOCKS
 
     def __post_init__(self):
         if not self.q > 0.5:
@@ -66,12 +74,7 @@ class LmeParams:
             raise ValueError(f"b must be positive, got {self.b}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.pool_size < 1000:
-            raise ValueError("pool_size must be >= 1000")
-        if self.pool_size % self.blocks != 0:
-            raise ValueError(
-                f"pool_size {self.pool_size} not divisible by {self.blocks} blocks"
-            )
+        _check_pool_size(self.pool_size, self.blocks)
 
 
 @dataclass

@@ -15,8 +15,7 @@ import os
 import subprocess
 from pathlib import Path
 
-from . import __version__
-from .chain import _check_size
+from . import __version__, brw, chain, engine, laplace
 from .errors import ConfigError
 
 __all__ = [
@@ -63,12 +62,18 @@ def _positive(name):
     return check
 
 
-def _chain_size(value: int) -> int:
-    try:
-        _check_size(value)
-    except ValueError as exc:
-        raise ConfigError(f"key 'N': {exc}") from exc
-    return value
+def _checked(key, check):
+    """Validator that runs a module's own check on the value, so the
+    rejection is the entry point's and names the key."""
+
+    def validate(value):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+        return value
+
+    return validate
 
 
 # key -> (parser, default or REQUIRED, optional validator)
@@ -89,7 +94,7 @@ SCHEMAS: dict[str, dict] = {
         "q": (float, _REQUIRED, _positive_q),
         "b": (float, _REQUIRED, _positive("b")),
         "n_max": (int, 10_000, _positive("n_max")),
-        "pool_size": (int, 100_000, _positive("pool_size")),
+        "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
         "seed": (int, 0, None),
         "track_powers": (_float_list, (2.0, 3.0), None),
     },
@@ -98,23 +103,26 @@ SCHEMAS: dict[str, dict] = {
         "kmax": (int, 8, _positive("kmax")),
     },
     "laplace": {
-        "q": (float, 0.75, _positive_q),
+        "q": (float, 0.75, _checked("q", laplace._check_q)),
         "b": (float, 0.5, _positive("b")),
-        "init": (str, "delta", None),
+        "init": (str, "delta", _checked("init", laplace._check_init)),
+        # scales of the recursion-only route (refine = false); with refine
+        # the stationary solve starts from at most laplace._WARM_START
+        # scales, since its solution does not depend on the start
         "n_schedule": (int, 4000, _positive("n_schedule")),
         "refine": (_bool, True, None),
     },
     "brw": {
-        "mode": (str, "cascade", None),
+        "mode": (str, "cascade", _checked("mode", brw._check_mode)),
         "beta": (float, 0.8326, _positive("beta")),
-        "depth": (int, 40, _positive("depth")),
-        "replicas": (int, 1_000_000, _positive("replicas")),
+        "depth": (int, 40, _checked("depth", brw._check_depth)),
+        "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),
         "seed": (int, 0, None),
     },
     "rg-chain": {
-        "N": (int, 4096, _chain_size),
+        "N": (int, 4096, _checked("N", chain._check_size)),
         "b": (float, 0.3, _positive("b")),
-        "a": (float, 0.4, None),
+        "a": (float, 0.4, _checked("a", chain._check_a)),
         "n_max": (int, 100, _positive("n_max")),
         "q_list": (_float_list, (0.75, 2.0), None),
         "seed": (int, 0, None),

@@ -27,10 +27,21 @@ def test_defaults_applied():
         ("brw", "p = 2\n", "p"),
         ("rg-chain", "N = 15\n", "N"),
         ("rg-chain", "N = 8193\n", "N"),
+        ("simulate-lme", BASE + "pool_size = 500\n", "pool_size"),
+        ("simulate-lme", BASE + "pool_size = 1001\n", "pool_size"),
+        ("brw", "depth = 50\n", "depth"),
+        ("brw", "mode = foo\n", "mode"),
+        ("brw", "replicas = 1000\n", "replicas"),
+        ("rg-chain", "a = 0.7\n", "a"),
+        ("laplace", "q = 2\n", "q"),
+        ("laplace", "init = foo\n", "init"),
     ],
     ids=[
         "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
         "brw-unread-p", "rg-chain-N-below-16", "rg-chain-N-above-cap",
+        "lme-pool-below-1000", "lme-pool-not-in-blocks", "brw-depth-above-cap",
+        "brw-unknown-mode", "brw-replicas-not-in-blocks", "rg-chain-a-above-half",
+        "laplace-q-above-one", "laplace-unknown-init",
     ],
 )
 def test_rejections_name_the_key(subcommand, text, key):

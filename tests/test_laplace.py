@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize._nonlin import NoConvergence
 
+from lmelab import harness
 from lmelab import laplace as la
 from lmelab import moments as mo
 from lmelab.errors import ContractViolation
@@ -71,14 +72,51 @@ def test_refine_is_preconditioned(counted_refine):
     assert counted_refine[1] < 150
 
 
-@pytest.mark.parametrize("q", [0.6, 0.9])
-def test_refine_at_other_q(q):
-    out = la.converge_grid(q, 0.5, n_schedule=100)
+def _assert_stationary(q, out):
+    """The residual and moment-table oracles on a refined grid."""
     for t in T_POINTS:
         assert abs(la.stationary_residual(q, out, t)) <= 1e-9
     est = la.moments_from_phi(out, 4)
     for e, x, tol in zip(est, mo.moment_table(q, 4).M, MOMENT_RTOL):
         assert abs(e - x) / x <= tol
+
+
+@pytest.mark.parametrize(
+    "q, init",
+    [(0.6, "delta"), (0.9, "delta"), (0.6, "exponential"), (0.9, "exponential")],
+    ids=["0.6", "0.9", "0.6-exponential", "0.9-exponential"],
+)
+def test_refine_at_other_q(q, init):
+    # exponential at q = 0.9 is the slowest warm start measured (115
+    # residual evaluations against 98 for delta)
+    _assert_stationary(q, la.converge_grid(q, 0.5, init=init))
+
+
+def test_refine_warm_starts_from_a_short_recursion(refined, monkeypatch):
+    ends = []
+    iterate = la.iterate_phi
+
+    def recording(q, b, n_start, n_end, grid):
+        ends.append(n_end)
+        return iterate(q, b, n_start, n_end, grid)
+
+    monkeypatch.setattr(la, "iterate_phi", recording)
+    out = la.converge_grid(0.75, 0.5)  # the default n_schedule, 4000
+    assert ends and max(ends) <= la._WARM_START
+    # the solution does not depend on the start: 31 steps against 99
+    assert np.max(np.abs(out.phi - refined.phi)) <= 1e-10
+
+
+def test_unrefined_route_runs_the_whole_schedule():
+    out = la.converge_grid(0.75, 0.5, n_schedule=50, refine=False)
+    ref = la.iterate_phi(0.75, 0.5, 1, 50, la.make_grid("delta"))
+    assert np.array_equal(out.phi, ref.phi)
+    assert out.series == ref.series
+
+
+def test_harness_default_config_converges():
+    cfg = harness.parse_config("", "laplace")
+    _assert_stationary(cfg["q"], la.converge_grid(**cfg))
 
 
 def test_failed_solve_is_a_contract_violation(grid, monkeypatch):

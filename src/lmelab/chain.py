@@ -80,6 +80,11 @@ def _check_a(a: float) -> None:
         raise ValueError(f"resonance exponent a must lie in (0, 1/2), got {a}")
 
 
+def _check_n_max(N: int, n_max: int) -> None:
+    if n_max > N // 2:
+        raise ValueError(f"n_max must not exceed N/2 = {N // 2}, got {n_max}")
+
+
 @dataclass(frozen=True)
 class RgParams:
     N: int
@@ -93,8 +98,7 @@ class RgParams:
     def __post_init__(self):
         _check_size(self.N)
         _check_a(self.a)
-        if self.n_max > self.N // 2:
-            raise ValueError("n_max must not exceed N/2")
+        _check_n_max(self.N, self.n_max)
         if not self.b > 0:
             raise ValueError("b must be positive")
 

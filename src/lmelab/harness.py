@@ -15,7 +15,7 @@ import os
 import subprocess
 from pathlib import Path
 
-from . import __version__, brw, chain, engine, laplace
+from . import __version__, brw, chain, engine, laplace, prbm, streams
 from .errors import ConfigError
 
 __all__ = [
@@ -62,13 +62,14 @@ def _positive(name):
     return check
 
 
-def _checked(key, check):
-    """Validator that runs a module's own check on the value, so the
+def _checked(key, *checks):
+    """Validator that runs a module's own checks on the value, so the
     rejection is the entry point's and names the key."""
 
     def validate(value):
         try:
-            check(value)
+            for check in checks:
+                check(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
         return value
@@ -78,6 +79,7 @@ def _checked(key, check):
 
 # key -> (parser, default or REQUIRED, optional validator)
 _REQUIRED = object()
+_SEED = _checked("seed", streams._check_seed)
 
 SCHEMAS: dict[str, dict] = {
     "analytics": {
@@ -88,14 +90,14 @@ SCHEMAS: dict[str, dict] = {
     "theta-check": {
         "epsilons": (_float_list, (1e-1, 1e-2, 1e-3), None),
         "samples": (int, 1_000_000, _positive("samples")),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _SEED),
     },
     "simulate-lme": {
         "q": (float, _REQUIRED, _positive_q),
         "b": (float, _REQUIRED, _positive("b")),
         "n_max": (int, 10_000, _positive("n_max")),
         "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _SEED),
         "track_powers": (_float_list, (2.0, 3.0), None),
     },
     "moments": {
@@ -117,7 +119,7 @@ SCHEMAS: dict[str, dict] = {
         "beta": (float, 0.8326, _positive("beta")),
         "depth": (int, 40, _checked("depth", brw._check_depth)),
         "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _SEED),
     },
     "rg-chain": {
         "N": (int, 4096, _checked("N", chain._check_size)),
@@ -125,15 +127,19 @@ SCHEMAS: dict[str, dict] = {
         "a": (float, 0.4, _checked("a", chain._check_a)),
         "n_max": (int, 100, _positive("n_max")),
         "q_list": (_float_list, (0.75, 2.0), None),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _SEED),
         "replicas": (int, 1, _positive("replicas")),
     },
     "prbm": {
-        "N_list": (_int_list, (256, 512, 1024, 2048), None),
+        "N_list": (
+            _int_list,
+            (256, 512, 1024, 2048),
+            _checked("N_list", prbm._check_sizes, prbm._check_fit_sizes),
+        ),
         "b": (float, 0.1, _positive("b")),
         "q": (float, 2.0, _positive("q")),
         "realizations": (int, 20, _positive("realizations")),
-        "seed": (int, 0, None),
+        "seed": (int, 0, _SEED),
     },
 }
 
@@ -161,8 +167,6 @@ def parse_config(text: str, subcommand: str) -> dict:
         if key in raw:
             try:
                 value = parser(raw[key])
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"key {key!r}: type mismatch ({exc})") from exc
         else:
@@ -172,6 +176,9 @@ def parse_config(text: str, subcommand: str) -> dict:
         if validator is not None:
             value = validator(value)
         out[key] = value
+    if subcommand == "rg-chain":
+        # a check across two keys, run once after the per-key validators
+        _checked("n_max", lambda c: chain._check_n_max(c["N"], c["n_max"]))(out)
     return out
 
 

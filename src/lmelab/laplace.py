@@ -13,18 +13,21 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
   phi_{n+1}(t) = E[phi_n(t sin^{2q}th/T_n) phi_n(t cos^{2q}th/T_n)] with the
   exact angle law at eps = b/n.  Its iterates track the law of the
   normalized ratio at scale n, whose distance from the limit decays only
-  like a fractional power of n.
+  like a fractional power of n.  The grid's series head takes the same
+  step with the same rule, so the route shares no code with the moment
+  recursions of :mod:`lmelab.moments`.
 * :func:`refine_stationary` solves the stationary equation directly
   (Newton-Krylov on the grid residual), which removes the finite-scale bias
   floor.  Its solution does not depend on the initial guess, so
   :func:`converge_grid` starts it from a short fixed recursion (at most
   _WARM_START scales) and lets ``n_schedule`` size only the recursion-only
-  route (``refine=False``).  The Krylov iterations are preconditioned by a
-  banded approximation of the Jacobian: the derivative stencil and the
-  diagonal exactly, the kernel integral with the spline replaced by linear
-  interpolation and cut to seven diagonals.  The residual and its Jacobian
-  products stay exact, so the preconditioner changes the number of
-  iterations, not the equation solved.
+  route (``refine=False``).  Each Newton solve is preconditioned by a
+  banded approximation of the Jacobian at its starting grid: the
+  derivative stencil and the diagonal exactly, the kernel integral with
+  the spline replaced by linear interpolation and cut to seven diagonals.
+  The residual and its Jacobian products stay exact, so the
+  preconditioner changes the number of iterations, not the equation
+  solved.
 
 The stationary residual has an integrable endpoint singularity whose naive
 quadrature amplifies float cancellation by 1/theta^2; all evaluators here
@@ -50,7 +53,7 @@ from scipy.optimize import newton_krylov
 from scipy.optimize._nonlin import NoConvergence
 from scipy.sparse.linalg import LinearOperator
 
-from . import analytics, moments, theta
+from . import analytics, theta
 from .errors import ContractViolation, QuadratureWarning
 
 __all__ = [
@@ -151,11 +154,6 @@ def make_grid(init: str = "delta") -> GridFunction:
     return GridFunction(t=t, phi=phi, series=series)
 
 
-def _series_from_moments(m: np.ndarray) -> tuple[float, ...]:
-    # m = (M1, M2, M3, M4)
-    return (1.0, -m[0], m[1] / 2.0, -m[2] / 6.0, m[3] / 24.0)
-
-
 def _evaluator(grid: GridFunction):
     """Vectorized phi(arg) on arrays of any shape: spline in ln t, series
     head, clamped top end."""
@@ -206,27 +204,29 @@ def iterate_phi(
 
     The expectation over the angle at eps = b/n uses a fixed folded
     Gauss-Legendre rule; normalizing by the same rule's T_n keeps the grid
-    mean exactly one step by step.  The series head follows the exact
-    deterministic moment trajectory, refreshed every 256 steps.
+    mean exactly one step by step.  The series head starts from
+    ``grid.series`` and takes each step with the same rule: with
+    A = sin^{2q}th/T_n and B = cos^{2q}th/T_n,
+    c_k' = sum_j c_j c_{k-j} E[A^j B^{k-j}] for k = 2..4, while c0 = 1 and
+    c1 = -1 stay pinned.
     """
     _check_q(q)
     if n_start < 1 or n_end < n_start:
         raise ValueError("need 1 <= n_start <= n_end")
-    traj = moments.moment_trajectory(q, b, n_end, kmax=4)
     t = grid.t
     phi = grid.phi.copy()
-    series = _series_from_moments(traj[n_start - 1])
+    series = grid.series
+    powers = np.arange(5)
     for n in range(n_start, n_end):
         nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), 24)
         s2 = np.sin(nodes) ** 2
         a_pow = s2**q
         b_pow = (1.0 - s2) ** q
         t_n = (a_pow + b_pow) @ w
-        if (n - n_start) % 256 == 0:
-            series = _series_from_moments(traj[n - 1])
+        a_arg, b_arg = a_pow / t_n, b_pow / t_n
         ev = _evaluator(GridFunction(t=t, phi=phi, series=series))
-        fa = ev(np.multiply.outer(t, a_pow / t_n))
-        fb = ev(np.multiply.outer(t, b_pow / t_n))
+        fa = ev(np.multiply.outer(t, a_arg))
+        fb = ev(np.multiply.outer(t, b_arg))
         new = (fa * fb) @ w
         phi, dist = _isotonic(new)
         # the projection distance is a contract, not a crutch
@@ -235,7 +235,15 @@ def iterate_phi(
                 f"isotonic projection moved the grid by {dist:.2e} at n={n}: "
                 "interpolation breakdown"
             )
-    return GridFunction(t=t, phi=phi, series=_series_from_moments(traj[-1]))
+        # mix[j, l] = E[A^j B^l] under the rule
+        mix = np.einsum(
+            "i,ij,il->jl", w, np.power.outer(a_arg, powers), np.power.outer(b_arg, powers)
+        )
+        series = (1.0, -1.0) + tuple(
+            float(sum(series[j] * series[k - j] * mix[j, k - j] for j in range(k + 1)))
+            for k in (2, 3, 4)
+        )
+    return GridFunction(t=t, phi=phi, series=series)
 
 
 class _KernelPieces:
@@ -335,23 +343,35 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     return analytics.T_of_q(q) * tphip + 0.5 * (main + small)
 
 
-def _fit_series_pinned(grid: GridFunction):
-    """Series coefficients with the mean pinned at one (scale anchor)."""
+def _small_t_fit(grid: GridFunction, head: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of t^len(head) .. t^7 in
+    phi(t) - sum_k head[k] t^k over t <= _SERIES_FIT_T_MAX, and the largest
+    fit residual."""
     t, phi = grid.t, grid.phi
     mask = t <= _SERIES_FIT_T_MAX
     tm = t[mask]
-    y = phi[mask] - 1.0 + tm
-    powers = np.arange(2, 8)
-    a = np.vstack([tm**p for p in powers]).T
+    y = phi[mask]
+    for k, c in enumerate(head):
+        y = y - c * tm**k
+    a = np.vstack([tm**p for p in range(len(head), 8)]).T
     scale = np.linalg.norm(a, axis=0)
     c, *_ = np.linalg.lstsq(a / scale, y, rcond=None)
     c = c / scale
+    return c, float(np.max(np.abs(a @ c - y)))
+
+
+def _fit_series_pinned(grid: GridFunction):
+    """Series coefficients with the mean pinned at one (scale anchor)."""
+    c, _ = _small_t_fit(grid, (1.0, -1.0))
     return (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
 
 
-class _BandedJacobian(LinearOperator):
+def _banded_preconditioner(
+    q: float, grid: GridFunction, fidx: np.ndarray
+) -> LinearOperator:
     """Inverse of a banded approximation of the free-node Jacobian of
-    :func:`_residual_grid`: the preconditioner of the stationary solve.
+    :func:`_residual_grid` at ``grid``: the preconditioner of one Newton
+    solve of :func:`refine_stationary`.
 
     Exact parts: the :func:`_dlog_derivative` stencil times T(q) plus the
     t phi' coefficients of the small-angle part, and the diagonal terms
@@ -360,65 +380,41 @@ class _BandedJacobian(LinearOperator):
     replaced by linear interpolation in ln t and entries more than _BAND
     nodes off the diagonal dropped.  On the log-uniform grid the argument
     t_i c_k lies ln(c_k)/h nodes from node i whatever i is, so the
-    interpolation slots and weights depend on the angle node alone and are
-    found once per :func:`refine_stationary` call.
-
-    newton_krylov calls ``setup`` and ``update`` at each Newton step;
-    ``grid_of`` maps the free-node values to the full grid and is set before
-    each solve.
+    interpolation slots and weights depend on the angle node alone.
     """
-
-    def __init__(self, q: float, t: np.ndarray, fidx: np.ndarray):
-        super().__init__(float, (fidx.size, fidx.size))
-        ker = _kernel(q)
-        h = math.log(t[1] / t[0])
-        self.t_free = t[fidx]
-        coef = 0.5 * ker.weights * ker.inv_s2c2
-        # per side: the angle nodes whose argument lands within the band,
-        # as (the other factor's scale c_k, weights on offsets -_BAND.._BAND)
-        self.sides = []
-        for own, other in ((ker.sin_pow, ker.cos_pow), (ker.cos_pow, ker.sin_pow)):
-            u = np.log(own) / h
-            lo = np.floor(u).astype(int)
-            w = np.zeros((own.size, 2 * _BAND + 1))
-            for off, share in ((lo, lo + 1 - u), (lo + 1, u - lo)):
-                k = np.where(np.abs(off) <= _BAND)[0]
-                w[k, off[k] + _BAND] += coef[k] * share[k]
-            keep = np.any(w != 0.0, axis=1)
-            if keep.any():
-                self.sides.append((other[keep], w[keep]))
-        stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-        tf = self.t_free
-        dcoef = analytics.T_of_q(q) + 0.5 * q * (tf * ker.g_cross - ker.g_adv)
-        self.rows = np.zeros((fidx.size, 2 * _BAND + 1))
-        self.rows[:, _BAND - 2 : _BAND + 3] = dcoef[:, None] * stencil
-        self.rows[:, _BAND] -= np.sum(coef) + 0.5 * tf * ker.g_sing
-        self.quad_diag = 0.25 * tf * tf * ker.g_quad  # times m2
-        self.grid_of = None
-        self.ab = None
-
-    def setup(self, x, f, func):
-        self.update(x, f)
-
-    def update(self, x, f):
-        grid = self.grid_of(x)
-        ev = _evaluator(grid)
-        rows = self.rows.copy()
-        rows[:, _BAND] += 2.0 * grid.series[2] * self.quad_diag
-        for other, w in self.sides:
-            rows += ev(np.multiply.outer(self.t_free, other)) @ w
-        # rows[i, _BAND + d] is J[i, i + d]; solve_banded reads it at
-        # ab[_BAND - d, i + d].  Columns i + d outside the free nodes are
-        # frozen values and are dropped.
-        m = x.size
-        ab = np.zeros((2 * _BAND + 1, m))
-        for d in range(-_BAND, _BAND + 1):
-            lo, hi = max(d, 0), m + min(d, 0)
-            ab[_BAND - d, lo:hi] = rows[lo - d : hi - d, _BAND + d]
-        self.ab = ab
-
-    def _matvec(self, v):
-        return solve_banded((_BAND, _BAND), self.ab, v)
+    ker = _kernel(q)
+    h = math.log(grid.t[1] / grid.t[0])
+    tf = grid.t[fidx]
+    ev = _evaluator(grid)
+    coef = 0.5 * ker.weights * ker.inv_s2c2
+    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    dcoef = analytics.T_of_q(q) + 0.5 * q * (tf * ker.g_cross - ker.g_adv)
+    # rows[i, _BAND + d] is J[i, i + d]
+    rows = np.zeros((fidx.size, 2 * _BAND + 1))
+    rows[:, _BAND - 2 : _BAND + 3] = dcoef[:, None] * stencil
+    rows[:, _BAND] -= np.sum(coef) + 0.5 * tf * ker.g_sing
+    rows[:, _BAND] += grid.series[2] * 0.5 * tf * tf * ker.g_quad
+    # per side: the angle nodes whose argument lands within the band, with
+    # their weights on offsets -_BAND.._BAND, times the other factor
+    for own, other in ((ker.sin_pow, ker.cos_pow), (ker.cos_pow, ker.sin_pow)):
+        u = np.log(own) / h
+        lo = np.floor(u).astype(int)
+        w = np.zeros((own.size, 2 * _BAND + 1))
+        for off, share in ((lo, lo + 1 - u), (lo + 1, u - lo)):
+            k = np.where(np.abs(off) <= _BAND)[0]
+            w[k, off[k] + _BAND] += coef[k] * share[k]
+        keep = np.any(w != 0.0, axis=1)
+        rows += ev(np.multiply.outer(tf, other[keep])) @ w[keep]
+    # solve_banded reads J[i, i + d] at ab[_BAND - d, i + d]; columns i + d
+    # outside the free nodes are frozen values and are dropped
+    m = fidx.size
+    ab = np.zeros((2 * _BAND + 1, m))
+    for d in range(-_BAND, _BAND + 1):
+        lo, hi = max(d, 0), m + min(d, 0)
+        ab[_BAND - d, lo:hi] = rows[lo - d : hi - d, _BAND + d]
+    return LinearOperator(
+        (m, m), matvec=lambda v: solve_banded((_BAND, _BAND), ab, v), dtype=float
+    )
 
 
 def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
@@ -433,14 +429,15 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     beyond t = 120 carry no weight in the kernel below t = 60 and are
     rebuilt as a log-linear decay continuation.
 
-    Each solve is preconditioned by :class:`_BandedJacobian`: the
-    derivative stencil and the diagonal terms of the Jacobian are exact,
-    the kernel integral is linearized with linear interpolation in ln t and
-    kept within three nodes of the diagonal.  The residual, its
-    finite-difference Jacobian products and the f_tol 1e-11 stopping rule
-    are those of the unpreconditioned solve; the preconditioner cuts the
-    residual evaluations about sevenfold (1192 to 177 at q = 0.75 after a
-    1000-step schedule), and a fixed inner tolerance of 1e-3 to 71.
+    Each solve is preconditioned by :func:`_banded_preconditioner`, built
+    once from the solve's starting grid: the derivative stencil and the
+    diagonal terms of the Jacobian are exact, the kernel integral is
+    linearized with linear interpolation in ln t and kept within three
+    nodes of the diagonal.  The residual, its finite-difference Jacobian
+    products and the f_tol 1e-11 stopping rule are those of the
+    unpreconditioned solve; the preconditioner cuts the residual
+    evaluations about sevenfold (1192 to 177 at q = 0.75 after a 1000-step
+    schedule), and a fixed inner tolerance of 1e-3 to 71.
     """
     _check_q(q)
     t = grid.t
@@ -448,30 +445,28 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     free = (~collar) & (t <= _SOLVE_T_MAX)
     fidx = np.where(free)[0]
     phi = grid.phi.copy()
-    precond = _BandedJacobian(q, t, fidx)
     for _ in range(6):
         series = _fit_series_pinned(replace(grid, phi=phi))
         c0, c1, c2, c3, c4 = series
         x = t[collar]
         phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-
-        frozen = phi.copy()
-
-        def grid_of(u: np.ndarray) -> GridFunction:
-            p = frozen.copy()
-            p[fidx] = u
-            return GridFunction(t=t, phi=p, series=series)
+        start = GridFunction(t=t, phi=phi.copy(), series=series)
 
         def objective(u: np.ndarray) -> np.ndarray:
-            return _residual_grid(q, grid_of(u))[fidx]
+            p = start.phi.copy()
+            p[fidx] = u
+            return _residual_grid(q, replace(start, phi=p))[fidx]
 
-        precond.grid_of = grid_of
         try:
             with warnings.catch_warnings():
                 # scipy's termination bookkeeping divides by an unset x_rtol
                 warnings.simplefilter("ignore", RuntimeWarning)
                 sol = newton_krylov(
-                    objective, phi[fidx], f_tol=1e-11, maxiter=80, inner_M=precond,
+                    objective,
+                    phi[fidx],
+                    f_tol=1e-11,
+                    maxiter=80,
+                    inner_M=_banded_preconditioner(q, start, fidx),
                     inner_rtol=_INNER_RTOL,
                 )
         except NoConvergence as exc:
@@ -550,16 +545,7 @@ def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
     """
     if not 1 <= kmax <= 4:
         raise ValueError("kmax must be in 1..4")
-    t, phi = grid.t, grid.phi
-    mask = t <= _SERIES_FIT_T_MAX
-    tm = t[mask]
-    y = phi[mask] - 1.0
-    powers = np.arange(1, 8)
-    a = np.vstack([tm**p for p in powers]).T
-    scale = np.linalg.norm(a, axis=0)
-    c, *_ = np.linalg.lstsq(a / scale, y, rcond=None)
-    c = c / scale
-    resid = float(np.max(np.abs(a @ c - y)))
+    c, resid = _small_t_fit(grid, (1.0,))
     if resid > 1e-6:
         warnings.warn(
             f"series fit residual {resid:.2e} exceeds 1e-6: ill conditioned",

@@ -30,6 +30,17 @@ __all__ = [
 ]
 
 
+def _check_sizes(N_list) -> None:
+    if any(n < 64 for n in N_list):
+        raise ValueError("matrix sizes must be >= 64")
+
+
+def _check_fit_sizes(N_list) -> None:
+    # repeated sizes add no point to the ln N regression
+    if len(set(N_list)) < 3:
+        raise ValueError("need at least three distinct sizes for the fit")
+
+
 @dataclass(frozen=True)
 class PrbmEnsemble:
     N_list: tuple[int, ...]
@@ -38,8 +49,7 @@ class PrbmEnsemble:
     seed: int = 0
 
     def __post_init__(self):
-        if any(n < 64 for n in self.N_list):
-            raise ValueError("matrix sizes must be >= 64")
+        _check_sizes(self.N_list)
         if not self.b > 0:
             raise ValueError("b must be positive")
         if self.realizations < 1:
@@ -117,9 +127,8 @@ def estimate_dq(ensemble: PrbmEnsemble, q: float) -> DqFit:
     """
     if not q > 0:
         raise ValueError("q must be positive")
+    _check_fit_sizes(ensemble.N_list)
     n_list = tuple(sorted(ensemble.N_list))
-    if len(n_list) < 3:
-        raise ValueError("need at least three sizes for the fit")
     if q == 1.0:
         z = (0.0,) * len(n_list)
         return DqFit(

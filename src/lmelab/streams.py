@@ -52,7 +52,15 @@ def _pack(labels: Sequence[int]) -> int:
     return (domain << (_W_MAJOR + _W_MINOR)) | (major << _W_MINOR) | minor
 
 
+def _check_seed(seed: int) -> None:
+    # the seed fills one 64-bit key word; wrapping it would alias -1 to 2^64 - 1
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def derive_stream(seed: int, labels: Iterable[int]) -> np.random.Generator:
     """Generator for the (seed, labels) cell of the stream space."""
-    key = np.array([int(seed) & (2**64 - 1), _pack(tuple(labels))], dtype=np.uint64)
+    seed = int(seed)
+    _check_seed(seed)
+    key = np.array([seed, _pack(tuple(labels))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -35,15 +35,31 @@ def test_defaults_applied():
         ("rg-chain", "a = 0.7\n", "a"),
         ("laplace", "q = 2\n", "q"),
         ("laplace", "init = foo\n", "init"),
+        ("prbm", "N_list = 32,64,128\n", "N_list"),
+        ("prbm", "N_list = 64,128\n", "N_list"),
+        ("prbm", "N_list = 64,64,128\n", "N_list"),
+        ("rg-chain", "N = 256\nn_max = 200\n", "n_max"),
+        ("brw", f"seed = {2**64}\n", "seed"),
     ],
     ids=[
         "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
         "brw-unread-p", "rg-chain-N-below-16", "rg-chain-N-above-cap",
         "lme-pool-below-1000", "lme-pool-not-in-blocks", "brw-depth-above-cap",
         "brw-unknown-mode", "brw-replicas-not-in-blocks", "rg-chain-a-above-half",
-        "laplace-q-above-one", "laplace-unknown-init",
+        "laplace-q-above-one", "laplace-unknown-init", "prbm-size-below-64",
+        "prbm-two-sizes", "prbm-repeated-size", "rg-chain-n_max-above-half-N",
+        "brw-seed-above-64-bits",
     ],
 )
 def test_rejections_name_the_key(subcommand, text, key):
     with pytest.raises(ConfigError, match=f"'{key}'"):
         harness.parse_config(text, subcommand)
+
+
+@pytest.mark.parametrize(
+    "subcommand", [s for s in harness.SCHEMAS if "seed" in harness.SCHEMAS[s]]
+)
+def test_every_seed_key_rejects_negative_seeds(subcommand):
+    text = BASE if subcommand == "simulate-lme" else ""
+    with pytest.raises(ConfigError, match="'seed'"):
+        harness.parse_config(text + "seed = -1\n", subcommand)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize._nonlin import NoConvergence
 
+from lmelab import engine as en
 from lmelab import harness
 from lmelab import laplace as la
 from lmelab import moments as mo
@@ -87,7 +88,7 @@ def _assert_stationary(q, out):
     ids=["0.6", "0.9", "0.6-exponential", "0.9-exponential"],
 )
 def test_refine_at_other_q(q, init):
-    # exponential at q = 0.9 is the slowest warm start measured (115
+    # exponential at q = 0.9 is the slowest warm start measured (124
     # residual evaluations against 98 for delta)
     _assert_stationary(q, la.converge_grid(q, 0.5, init=init))
 
@@ -112,6 +113,46 @@ def test_unrefined_route_runs_the_whole_schedule():
     ref = la.iterate_phi(0.75, 0.5, 1, 50, la.make_grid("delta"))
     assert np.array_equal(out.phi, ref.phi)
     assert out.series == ref.series
+
+
+def test_zero_steps_keep_the_grid_head():
+    g = la.iterate_phi(0.75, 0.5, 5, 5, la.make_grid("exponential"))
+    assert g.series == (1.0, -1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("q", [0.6, 0.75, 0.9])
+def test_exponential_start_keeps_the_mean(q):
+    # the head steps from the exponential law's own (1, -1, 1, -1, 1): the
+    # estimated mean stays within 3e-7 of one after 99 steps; a head on the
+    # delta law's moments leaves it 3.4e-6 to 5.6e-6 off
+    g = la.iterate_phi(q, 0.5, 1, 100, la.make_grid("exponential"))
+    assert abs(la.moments_from_phi(g)[0] - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("q, n", [(0.6, 50), (0.75, 100), (0.9, 200)])
+def test_delta_head_matches_the_moment_trajectory(q, n):
+    # two rules for one recursion: the head steps with the 24-node folded
+    # rule, the trajectory with the 48-node spline table (agree to 1.2e-8)
+    c = la.iterate_phi(q, 0.5, 1, n, la.make_grid("delta")).series
+    head = (2.0 * c[2], -6.0 * c[3], 24.0 * c[4])
+    exact = mo.moment_trajectory(q, 0.5, n, kmax=4)[-1][1:]
+    for h, x in zip(head, exact):
+        assert abs(h - x) / x <= 1e-6
+
+
+def test_pool_matches_the_recursion_law():
+    # the pool and the grid share only theta's angle law; at pool 65536 in
+    # 32 blocks, n / p_block = 200 / 2048 is about 0.1, where the pool's
+    # coalescence bias is below its noise (z +0.90 to +1.26 at seed 1).
+    # One pool is read at every t, so the z-scores share a sign: each t is
+    # gated on its own.
+    q, b, n = 0.75, 0.5, 200
+    pool = en.run(en.LmeParams(q=q, b=b, n_max=n, pool_size=65536, seed=1)).final_pool
+    ts = (0.1, 0.3, 1.0, 3.0, 10.0)
+    law = la.grid_eval(la.iterate_phi(q, b, 1, n, la.make_grid()), ts)
+    for t, phi in zip(ts, law):
+        _, mean, se = en.block_mean_se(np.exp(-t * pool.values), pool.blocks)
+        assert abs(mean - phi) <= 5.0 * se
 
 
 def test_harness_default_config_converges():

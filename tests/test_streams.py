@@ -68,3 +68,10 @@ def test_distinct_labels_give_distinct_draws():
     b = derive_stream(7, (DOMAIN_TEST, 1, 1)).random(8)
     c = derive_stream(8, (DOMAIN_TEST, 1, 0)).random(8)
     assert not np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # a wrapped seed would alias: -1 would draw what 2^64 - 1 draws
+    with pytest.raises(ValueError, match="seed"):
+        derive_stream(seed, (DOMAIN_TEST, 0, 0))

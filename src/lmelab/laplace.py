@@ -21,7 +21,7 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
   floor.  Its solution does not depend on the initial guess, so
   :func:`converge_grid` starts it from a short fixed recursion (at most
   _WARM_START scales) and lets ``n_schedule`` size only the recursion-only
-  route (``refine=False``).  Each Newton solve is preconditioned by a
+  route (``refine=False``).  The one Newton solve is preconditioned by a
   banded approximation of the Jacobian at its starting grid: the
   derivative stencil and the diagonal exactly, the kernel integral with
   the spline replaced by linear interpolation and cut to seven diagonals.
@@ -76,23 +76,31 @@ _SERIES_FIT_T_MAX = 0.8
 _SOLVE_T_MAX = 120.0
 # Half-bandwidth, in grid nodes, of the stationary solve's preconditioner.
 _BAND = 3
+# Pinned series fits per collar rebuild in refine_stationary.  The fit
+# window t <= _SERIES_FIT_T_MAX also holds the collar's own stale values,
+# and each refit shrinks their inconsistency about 1e5-fold: after one
+# refit the fit of the refined grid misses its series head by up to 5.7e-5
+# (c4; q = 0.9, exponential start), after two by 5.5e-10 and after three
+# by at most 4.1e-15.
+_COLLAR_REFITS = 3
 # Fixed relative tolerance of each preconditioned inner LGMRES solve.
 # scipy's default forcing term min(1e-3, 1e-3 ||F||) shrinks with the
-# residual, so solves that start near convergence ran their whole inner
-# budget: a fixed 1e-3 cuts the residual evaluations at converge_grid
-# (q, 0.5, n_schedule=1000) from 177 to 71 at q = 0.75, 159 to 63 at
-# q = 0.6 and 170 to 96 at q = 0.9, moving refined phi by at most 2e-14.
+# residual, so the last Newton steps ran their whole inner budget: a fixed
+# 1e-3 cuts the residual evaluations at converge_grid(q, 0.5,
+# n_schedule=1000) from 24 to 20 at q = 0.75, 50 to 16 at q = 0.6 and 32 to
+# 26 at q = 0.9, moving refined phi by at most 6.2e-13.
 _INNER_RTOL = 1e-3
 # Recursion scales run before the stationary solve in converge_grid (the
 # recursion from n = 1 to _WARM_START); at least 2, so one step runs.  The
 # solve's answer does not depend on its start: against a 1000-step start at
-# b = 0.5, 32 scales move refined phi by at most 1.0e-13 (q = 0.75, delta),
-# 1.8e-14 (q = 0.9, delta) and 8.3e-12 (q = 0.9, exponential), leave the
-# probe residuals unchanged, and take 77 residual evaluations against 71 at
-# q = 0.75 (115 against 107 at q = 0.9, exponential).  The benchmark's
-# converge_grid(0.75, 0.5, n_schedule=1000) fell from 3.47 s to 0.47 s
-# (medians, 2-core Xeon host).  Starting from the initial law alone costs
-# up to 136 evaluations (q = 0.9, exponential).
+# b = 0.5, 32 scales move refined phi by at most 5.8e-13 (q = 0.75, delta),
+# 2.8e-13 (q = 0.9, delta) and 1.1e-11 (q = 0.9, exponential), leave the
+# probe residuals within 3e-13, and take 20 residual evaluations against 23
+# at q = 0.75 (31 against 23 at q = 0.9, exponential).  The 968 recursion
+# steps it skips took 3.7 s of converge_grid(0.75, 0.5, n_schedule=1000)
+# (0.19 s against 3.92 s, medians of three, 2-core Xeon host).  Starting
+# from the initial law alone costs up to 38 evaluations (q = 0.9,
+# exponential).
 _WARM_START = 32
 
 
@@ -203,8 +211,11 @@ def iterate_phi(
     """Apply the scale recursion for n = n_start .. n_end - 1.
 
     The expectation over the angle at eps = b/n uses a fixed folded
-    Gauss-Legendre rule; normalizing by the same rule's T_n keeps the grid
-    mean exactly one step by step.  The series head starts from
+    Gauss-Legendre rule, normalized by the same rule's T_n: that keeps the
+    rule's mean exactly one, but the spline evaluation of the grid body
+    lets the grid mean drift upward: from the delta start at b = 0.5,
+    ``moments_from_phi(...)[0] - 1`` is 2.5e-6 at q = 0.6 after 250 steps
+    and 2.0e-5 after 1000.  The series head starts from
     ``grid.series`` and takes each step with the same rule: with
     A = sin^{2q}th/T_n and B = cos^{2q}th/T_n,
     c_k' = sum_j c_j c_{k-j} E[A^j B^{k-j}] for k = 2..4, while c0 = 1 and
@@ -417,6 +428,18 @@ def _banded_preconditioner(
     )
 
 
+def _set_collar(grid: GridFunction, collar: np.ndarray) -> GridFunction:
+    """The grid with its collar nodes and series head set to the pinned
+    series fit, refitted _COLLAR_REFITS times."""
+    phi = grid.phi.copy()
+    x = grid.t[collar]
+    for _ in range(_COLLAR_REFITS):
+        series = _fit_series_pinned(replace(grid, phi=phi))
+        c0, c1, c2, c3, c4 = series
+        phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+    return GridFunction(t=grid.t, phi=phi, series=series)
+
+
 def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     """Solve the stationary equation on the grid by Newton-Krylov.
 
@@ -424,54 +447,53 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     power of the scale, which strands its residual around 1e-4; solving the
     stationary equation directly removes that floor.  The scale-invariance
     mode (t -> ct reparametrizations) is pinned by anchoring the collar
-    t <= 4e-3 to a mean-one series fitted from the grid itself; the fit is
-    refreshed between six Newton solves until self-consistent.  Nodes
-    beyond t = 120 carry no weight in the kernel below t = 60 and are
-    rebuilt as a log-linear decay continuation.
+    t <= 4e-3 to a mean-one series fitted from the grid itself; the
+    objective of the one Newton solve rebuilds the collar and the series
+    head from the free values (:func:`_set_collar`) before each residual
+    evaluation, so the solution is self-consistent.  Nodes beyond t = 120
+    carry no weight in the kernel below t = 60 and are rebuilt as a
+    log-linear decay continuation.
 
-    Each solve is preconditioned by :func:`_banded_preconditioner`, built
-    once from the solve's starting grid: the derivative stencil and the
-    diagonal terms of the Jacobian are exact, the kernel integral is
-    linearized with linear interpolation in ln t and kept within three
-    nodes of the diagonal.  The residual, its finite-difference Jacobian
-    products and the f_tol 1e-11 stopping rule are those of the
-    unpreconditioned solve; the preconditioner cuts the residual
-    evaluations about sevenfold (1192 to 177 at q = 0.75 after a 1000-step
-    schedule), and a fixed inner tolerance of 1e-3 to 71.
+    The solve is preconditioned by :func:`_banded_preconditioner`, built
+    once from the starting grid: the derivative stencil and the diagonal
+    terms of the Jacobian are exact, the kernel integral is linearized
+    with linear interpolation in ln t and kept within three nodes of the
+    diagonal.  The residual, its finite-difference Jacobian products and
+    the f_tol 1e-11 stopping rule are those of the unpreconditioned solve;
+    the preconditioner and a fixed inner tolerance of 1e-3 bring the
+    residual evaluations at q = 0.75 after a 32-scale warm start to 20.
     """
     _check_q(q)
     t = grid.t
     collar = t <= 4e-3
     free = (~collar) & (t <= _SOLVE_T_MAX)
     fidx = np.where(free)[0]
-    phi = grid.phi.copy()
-    for _ in range(6):
-        series = _fit_series_pinned(replace(grid, phi=phi))
-        c0, c1, c2, c3, c4 = series
-        x = t[collar]
-        phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-        start = GridFunction(t=t, phi=phi.copy(), series=series)
+    start = _set_collar(grid, collar)
 
-        def objective(u: np.ndarray) -> np.ndarray:
-            p = start.phi.copy()
-            p[fidx] = u
-            return _residual_grid(q, replace(start, phi=p))[fidx]
+    def rebuilt(u: np.ndarray) -> GridFunction:
+        p = start.phi.copy()
+        p[fidx] = u
+        return _set_collar(replace(start, phi=p), collar)
 
-        try:
-            with warnings.catch_warnings():
-                # scipy's termination bookkeeping divides by an unset x_rtol
-                warnings.simplefilter("ignore", RuntimeWarning)
-                sol = newton_krylov(
-                    objective,
-                    phi[fidx],
-                    f_tol=1e-11,
-                    maxiter=80,
-                    inner_M=_banded_preconditioner(q, start, fidx),
-                    inner_rtol=_INNER_RTOL,
-                )
-        except NoConvergence as exc:
-            raise ContractViolation(f"stationary solve failed: {exc}") from exc
-        phi[fidx] = sol
+    def objective(u: np.ndarray) -> np.ndarray:
+        return _residual_grid(q, rebuilt(u))[fidx]
+
+    try:
+        with warnings.catch_warnings():
+            # scipy's termination bookkeeping divides by an unset x_rtol
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = newton_krylov(
+                objective,
+                start.phi[fidx],
+                f_tol=1e-11,
+                maxiter=80,
+                inner_M=_banded_preconditioner(q, start, fidx),
+                inner_rtol=_INNER_RTOL,
+            )
+    except NoConvergence as exc:
+        raise ContractViolation(f"stationary solve failed: {exc}") from exc
+    solved = rebuilt(sol)
+    phi, series = solved.phi, solved.series
 
     # log-linear tail continuation beyond the solve window
     tail = t > _SOLVE_T_MAX

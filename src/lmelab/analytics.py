@@ -17,25 +17,24 @@ all thresholds derive from T:
 * ``p_star(q)`` is the supremum of bounded moment orders, the root of
   ``T(pq) - p T(q)`` in p > 1 (unbounded for q <= 1).
 * ``q_k`` is the root in q of ``T(kq) - k T(q)`` for integer k >= 2.
+* ``h_exponent(q)``, past q_c, is the order h in (0, 1) maximizing
+  ``T(qh) - h T(q)``, the freezing-side decay order.
 * ``d_of_q(q, b) = b T(q) / (q - 1)`` is the multifractal dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from scipy import integrate
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import digamma, gammaln, gammasgn, rgamma
 
 from .errors import ContractViolation
 
 __all__ = [
     "UNBOUNDED",
-    "ExponentReport",
-    "CriticalPoints",
     "T_of_q",
     "T_quadrature",
     "T_prime",
@@ -43,9 +42,8 @@ __all__ = [
     "find_qc",
     "p_star",
     "find_qk",
+    "h_exponent",
     "d_of_q",
-    "exponent_report",
-    "critical_points",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -62,32 +60,6 @@ class _Unbounded:
 
 #: Distinguished "no finite moment boundary" value returned by :func:`p_star`.
 UNBOUNDED = _Unbounded()
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    """All closed-form exponents at a single (q, b) point."""
-
-    q: float
-    T: float
-    Tprime: float
-    H: float
-    d: float
-    b: float
-
-
-@dataclass(frozen=True)
-class CriticalPoints:
-    """The critical index q_c and the integer-moment thresholds q_k.
-
-    ``p_star`` itself stays a function (:func:`p_star`); this record only
-    carries its domain/codomain so serialized output is self-describing.
-    """
-
-    q_c: float
-    q_k: dict[int, float] = field(default_factory=dict)
-    p_star_domain: tuple[float, float] = (0.5, float("nan"))
-    p_star_codomain: str = "(1, unbounded]"
 
 
 def _check_q(q: float) -> None:
@@ -229,23 +201,36 @@ def find_qk(k: int) -> float:
     return _bracketed_root(g, 1.0, find_qc())
 
 
+def h_exponent(q: float) -> float:
+    """The order h in (0,1) maximizing T(qh) - h T(q) (bounded Brent search).
+
+    Only meaningful past the critical index, where the maximum is positive
+    and drives the decay of the h-th moment of the normalized ratio.
+    """
+    qc = find_qc()
+    if not q > qc:
+        raise ValueError(f"h_exponent requires q > q_c = {qc:.6f}, got {q}")
+    tq = T_of_q(q)
+
+    def g(h: float) -> float:
+        return T_of_q(q * h) - h * tq
+
+    # g is strictly concave in h on (1/(2q), 1)
+    res = minimize_scalar(
+        lambda h: -g(h),
+        bounds=(0.5 / q + 1e-9, 1.0 - 1e-12),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    h = float(res.x)
+    if g(h) <= 0.0:
+        raise ValueError(f"maximum of T(qh) - hT(q) not positive at q={q}")
+    return h
+
+
 def d_of_q(q: float, b: float) -> float:
     """Multifractal dimension ``d(q) = b T(q)/(q-1) = b (sqrt(pi)/2) Gamma(q-1/2)/Gamma(q)``."""
     _check_q(q)
     if b < 0:
         raise ValueError(f"coupling b must be >= 0, got {b}")
     return b * 0.5 * _SQRT_PI * math.exp(gammaln(q - 0.5)) * float(rgamma(q))
-
-
-def exponent_report(q: float, b: float) -> ExponentReport:
-    """Bundle T, T', H and d at one (q, b) point."""
-    return ExponentReport(
-        q=q, T=T_of_q(q), Tprime=T_prime(q), H=H_of_q(q), d=d_of_q(q, b), b=b
-    )
-
-
-def critical_points(kmax: int = 6) -> CriticalPoints:
-    """q_c together with the q_k table for k = 2..kmax."""
-    qc = find_qc()
-    table = {k: find_qk(k) for k in range(2, kmax + 1)}
-    return CriticalPoints(q_c=qc, q_k=table, p_star_domain=(0.5, qc))

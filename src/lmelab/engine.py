@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from . import analytics, theta
+from . import theta
 from .streams import DOMAIN_LME, derive_stream
 
 __all__ = [
@@ -38,10 +37,8 @@ __all__ = [
     "block_mean_se",
     "step",
     "run",
-    "h_exponent",
     "paley_zygmund_bounds",
     "ols",
-    "fit_log_slope",
 ]
 
 _tn_cache: dict[tuple[float, float], float] = {}
@@ -263,58 +260,18 @@ def ols(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return coef, np.sqrt(np.maximum(np.diag(cov), 0.0)), resid
 
 
-def fit_log_slope(
-    ns, ys, *, n_min: int = 64, sqrt_correction: bool = False
-) -> tuple[float, float]:
-    """Least-squares slope of y against ln n over checkpoints n >= n_min.
-
-    With ``sqrt_correction`` the model is a + s ln n + c / sqrt(n), which
-    absorbs the leading finite-scale transient of log-mean trajectories
-    (the per-step angle moments carry fractional-power corrections) and
-    leaves s an estimate of the asymptotic slope.  Returns (slope, stderr).
-    """
-    sel = [(n, v) for n, v in zip(ns, ys) if n >= n_min]
-    if len(sel) < (4 if sqrt_correction else 3):
-        raise ValueError("not enough checkpoints beyond n_min for the fit")
-    n_arr = np.array([s[0] for s in sel], dtype=float)
-    y = np.array([s[1] for s in sel])
-    cols = [np.ones_like(n_arr), np.log(n_arr)]
-    if sqrt_correction:
-        cols.append(1.0 / np.sqrt(n_arr))
-    coef, stderr, _ = ols(np.vstack(cols).T, y)
-    return float(coef[1]), float(stderr[1])
-
-
-def h_exponent(q: float) -> float:
-    """The order h in (0,1) maximizing T(qh) - h T(q) (bounded Brent search).
-
-    Only meaningful past the critical index, where the maximum is positive
-    and drives the decay of the h-th moment of the normalized ratio.
-    """
-    qc = analytics.find_qc()
-    if not q > qc:
-        raise ValueError(f"h_exponent requires q > q_c = {qc:.6f}, got {q}")
-    tq = analytics.T_of_q(q)
-
-    def g(h: float) -> float:
-        return analytics.T_of_q(q * h) - h * tq
-
-    # g is strictly concave in h on (1/(2q), 1)
-    res = minimize_scalar(
-        lambda h: -g(h),
-        bounds=(0.5 / q + 1e-9, 1.0 - 1e-12),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    h = float(res.x)
-    if g(h) <= 0.0:
-        raise ValueError(f"maximum of T(qh) - hT(q) not positive at q={q}")
-    return h
-
-
 def paley_zygmund_bounds(pool: SamplePool, p: float) -> PaleyZygmund:
     """Markov/Paley-Zygmund sandwich for the normalized ratio against the
-    pool's empirical frequencies."""
+    pool's empirical frequencies.
+
+    It certifies that the recursion's normalized ratio X, mean one at every
+    scale, neither runs off nor collapses to zero: Markov gives
+    P(X > 2) <= 1/2, and Paley-Zygmund with the pool's p-th moment gives
+    P(X >= 1/2) >= ((1/2)^p / E[X^p])^{1/(p-1)}, a mass at order one that
+    stays bounded away from zero while E[X^p] stays bounded (p < p*(q)).
+    ``tests/test_engine.py::TestPaleyZygmund`` checks the sandwich on an
+    evolved pool.
+    """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
     v = pool.values

@@ -1,33 +1,19 @@
-"""Run configuration, output writing, and reproducibility plumbing.
+"""Run configuration: one flat key=value schema per subcommand.
 
 Configs are flat UTF-8 key=value documents ('#' comments allowed); which
-keys are legal depends on the subcommand, unknown or duplicate keys are
-rejected by name, and every applied default is echoed into the manifest so
-a run is fully described by its outputs.  Data files are CSV with 17
-significant digits and LF endings; each run writes exactly one JSON
-manifest describing all of its files.
+keys are legal depends on the subcommand, and unknown, duplicate,
+mistyped or out-of-range keys are rejected with a ``ConfigError`` that
+names the key.  Range checks reuse each entry point's own validators.
+Missing optional keys take the schema's default, which equals the entry
+point's own default wherever it has one.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-from pathlib import Path
-
-from . import __version__, brw, chain, engine, laplace, prbm, streams
+from . import brw, chain, engine, laplace, prbm, streams
 from .errors import ConfigError
 
-__all__ = [
-    "SCHEMAS",
-    "parse_config",
-    "config_from_file",
-    "format_real",
-    "write_csv",
-    "write_json",
-    "write_manifest",
-    "version_string",
-]
+__all__ = ["SCHEMAS", "parse_config"]
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -82,16 +68,6 @@ _REQUIRED = object()
 _SEED = _checked("seed", streams._check_seed)
 
 SCHEMAS: dict[str, dict] = {
-    "analytics": {
-        "q": (float, 2.0, _positive_q),
-        "b": (float, 0.5, _positive("b")),
-        "kmax": (int, 6, None),
-    },
-    "theta-check": {
-        "epsilons": (_float_list, (1e-1, 1e-2, 1e-3), None),
-        "samples": (int, 1_000_000, _positive("samples")),
-        "seed": (int, 0, _SEED),
-    },
     "simulate-lme": {
         "q": (float, _REQUIRED, _positive_q),
         "b": (float, _REQUIRED, _positive("b")),
@@ -99,10 +75,6 @@ SCHEMAS: dict[str, dict] = {
         "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
         "seed": (int, 0, _SEED),
         "track_powers": (_float_list, (2.0, 3.0), None),
-    },
-    "moments": {
-        "q": (float, _REQUIRED, _positive_q),
-        "kmax": (int, 8, _positive("kmax")),
     },
     "laplace": {
         "q": (float, 0.75, _checked("q", laplace._check_q)),
@@ -180,82 +152,3 @@ def parse_config(text: str, subcommand: str) -> dict:
         # a check across two keys, run once after the per-key validators
         _checked("n_max", lambda c: chain._check_n_max(c["N"], c["n_max"]))(out)
     return out
-
-
-def config_from_file(path: str | Path, subcommand: str) -> dict:
-    return parse_config(Path(path).read_text(encoding="utf-8"), subcommand)
-
-
-def format_real(x: float) -> str:
-    """17 significant digits, '.' decimal separator."""
-    return format(float(x), ".17g")
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            format_real(v) if isinstance(v, float) else str(v) for v in row
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
-
-
-def version_string() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"lmelab-{__version__}"
-
-
-def write_manifest(
-    out_dir: Path,
-    subcommand: str,
-    config: dict,
-    files: list[str],
-    wall_time_s: float,
-    tolerances: dict | None = None,
-) -> Path:
-    """Write the run's one JSON manifest, the only place wall time lives
-    (data files stay byte-identical across reruns)."""
-    path = out_dir / f"{subcommand}_manifest.json"
-    write_json(
-        path,
-        {
-            "subcommand": subcommand,
-            "config": config,
-            "version": version_string(),
-            "wall_time_s": wall_time_s,
-            "tolerances": tolerances or {},
-            "files": files,
-        },
-    )
-    return path

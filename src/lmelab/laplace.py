@@ -91,16 +91,19 @@ _COLLAR_REFITS = 3
 # 26 at q = 0.9, moving refined phi by at most 6.2e-13.
 _INNER_RTOL = 1e-3
 # Recursion scales run before the stationary solve in converge_grid (the
-# recursion from n = 1 to _WARM_START); at least 2, so one step runs.  The
-# solve's answer does not depend on its start: against a 1000-step start at
-# b = 0.5, 32 scales move refined phi by at most 5.8e-13 (q = 0.75, delta),
-# 2.8e-13 (q = 0.9, delta) and 1.1e-11 (q = 0.9, exponential), leave the
-# probe residuals within 3e-13, and take 20 residual evaluations against 23
-# at q = 0.75 (31 against 23 at q = 0.9, exponential).  The 968 recursion
-# steps it skips took 3.7 s of converge_grid(0.75, 0.5, n_schedule=1000)
-# (0.19 s against 3.92 s, medians of three, 2-core Xeon host).  Starting
-# from the initial law alone costs up to 38 evaluations (q = 0.9,
-# exponential).
+# recursion from n = 1 to _WARM_START); at least 2, so one step runs: the
+# steps are the laplace route's only theta.folded_rule calls
+# (refine_stationary makes none), and benchmarks/tests'
+# test_traced_layers_are_exercised requires theta.folded_rule.calls > 0 on
+# laplace.  The solve's answer does not depend on its start: against a
+# 1000-step start at b = 0.5, 32 scales move refined phi by at most 5.8e-13
+# (q = 0.75, delta), 2.8e-13 (q = 0.9, delta) and 1.1e-11 (q = 0.9,
+# exponential), leave the probe residuals within 3e-13, and take 20 residual
+# evaluations against 23 at q = 0.75 (31 against 23 at q = 0.9,
+# exponential).  The 968 recursion steps it skips took 3.7 s of
+# converge_grid(0.75, 0.5, n_schedule=1000) (0.19 s against 3.92 s, medians
+# of three, 2-core Xeon host).  Starting from the initial law alone costs up
+# to 38 evaluations (q = 0.9, exponential).
 _WARM_START = 32
 
 

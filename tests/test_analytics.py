@@ -145,8 +145,8 @@ class TestQk:
 
     def test_ordering(self):
         qc = an.find_qc()
-        q2, q3, q4 = an.find_qk(2), an.find_qk(3), an.find_qk(4)
-        assert 1.0 < q4 < q3 < q2 < qc
+        q2, q3, q4, q5 = (an.find_qk(k) for k in (2, 3, 4, 5))
+        assert 1.0 < q5 < q4 < q3 < q2 < qc
 
     def test_p_star_inverse_relation(self):
         # q_k is precisely where the moment boundary equals k
@@ -178,19 +178,29 @@ class TestD:
         assert an.d_of_q(1.0, 0.1) == pytest.approx(lim, rel=1e-6)
 
 
+class TestHExponent:
+    def test_scan_oracle_at_three(self):
+        h = an.h_exponent(3.0)
+        hs = np.linspace(0.2, 0.999, 2000)
+        gs = [an.T_of_q(3 * x) - x * an.T_of_q(3.0) for x in hs]
+        assert h == pytest.approx(hs[int(np.argmax(gs))], abs=1e-3)
+        assert an.T_of_q(3 * h) - h * an.T_of_q(3.0) > 0
+
+    def test_maximum_vanishes_at_critical_point(self):
+        qc = an.find_qc()
+        h = an.h_exponent(qc + 1e-3)
+        g = an.T_of_q((qc + 1e-3) * h) - h * an.T_of_q(qc + 1e-3)
+        assert 0 < g < 1e-4
+
+    def test_interior_at_five(self):
+        assert 0.1 < an.h_exponent(5.0) < 0.99
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            an.h_exponent(2.0)
+
+
 class TestReports:
-    def test_exponent_report_fields(self):
-        rep = an.exponent_report(0.8, 0.5)
-        assert rep.T < 0 and rep.Tprime > 0 and rep.H > 0
-        assert rep.d == pytest.approx(0.5 * an.T_of_q(0.8) / (0.8 - 1.0), rel=1e-12)
-
-    def test_critical_points_table(self):
-        cp = an.critical_points(kmax=5)
-        ks = sorted(cp.q_k)
-        assert ks == [2, 3, 4, 5]
-        for a, b in zip(ks, ks[1:]):
-            assert 1.0 < cp.q_k[b] < cp.q_k[a] < cp.q_c
-
     def test_bracket_failure_is_contract_violation(self):
         with pytest.raises(ContractViolation):
             an._bracketed_root(lambda x: 1.0 + x * x, 0.0, 1.0)

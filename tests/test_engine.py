@@ -169,47 +169,20 @@ class TestRun:
         assert rec.logZ[-1] == pytest.approx(expected, abs=1e-12)
 
 
-class TestSlopeFit:
+class TestOls:
     def test_recovers_exact_line(self):
-        ns = [64, 128, 256, 512, 1024]
-        ys = [3.0 * math.log(n) - 1.0 for n in ns]
-        s, se = en.fit_log_slope(ns, ys)
-        assert s == pytest.approx(3.0, abs=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-10)
+        x = np.log([64.0, 128.0, 256.0, 512.0, 1024.0])
+        coef, se, resid = en.ols(np.vstack([np.ones_like(x), x]).T, 3.0 * x - 1.0)
+        assert coef[1] == pytest.approx(3.0, abs=1e-12)
+        assert se[1] == pytest.approx(0.0, abs=1e-10)
+        assert np.abs(resid).max() <= 1e-12
 
-    def test_sqrt_correction_removes_transient(self):
-        ns = [2**k for k in range(6, 14)]
-        ys = [0.5 * math.log(n) + 2.0 / math.sqrt(n) for n in ns]
-        s_plain, _ = en.fit_log_slope(ns, ys)
-        s_corr, _ = en.fit_log_slope(ns, ys, sqrt_correction=True)
-        assert abs(s_corr - 0.5) < 1e-10
-        assert abs(s_plain - 0.5) > 1e-3
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            en.fit_log_slope([100, 200], [1.0, 2.0])
-
-
-class TestHExponent:
-    def test_scan_oracle_at_three(self):
-        h = en.h_exponent(3.0)
-        hs = np.linspace(0.2, 0.999, 2000)
-        gs = [an.T_of_q(3 * x) - x * an.T_of_q(3.0) for x in hs]
-        assert h == pytest.approx(hs[int(np.argmax(gs))], abs=1e-3)
-        assert an.T_of_q(3 * h) - h * an.T_of_q(3.0) > 0
-
-    def test_maximum_vanishes_at_critical_point(self):
-        qc = an.find_qc()
-        h = en.h_exponent(qc + 1e-3)
-        g = an.T_of_q((qc + 1e-3) * h) - h * an.T_of_q(qc + 1e-3)
-        assert 0 < g < 1e-4
-
-    def test_interior_at_five(self):
-        assert 0.1 < en.h_exponent(5.0) < 0.99
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            en.h_exponent(2.0)
+    def test_rank_deficient_design_has_infinite_errors(self):
+        design = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 7.0]])  # 2 rows, 3 columns
+        coef, se, resid = en.ols(design, np.array([1.0, 2.0]))
+        assert np.all(np.isinf(se))
+        assert np.all(np.isfinite(coef))
+        assert np.abs(resid).max() <= 1e-12
 
 
 class TestPaleyZygmund:

@@ -1,8 +1,12 @@
-"""Config parsing: every rejection names the offending key."""
+"""Config parsing: every rejection names the offending key, and every
+schema default agrees with its entry point's own default."""
+
+import dataclasses
+import inspect
 
 import pytest
 
-from lmelab import harness
+from lmelab import brw, chain, engine, harness, laplace, prbm
 from lmelab.errors import ConfigError
 
 BASE = "q = 0.75\nb = 0.5\n"
@@ -63,3 +67,38 @@ def test_every_seed_key_rejects_negative_seeds(subcommand):
     text = BASE if subcommand == "simulate-lme" else ""
     with pytest.raises(ConfigError, match="'seed'"):
         harness.parse_config(text + "seed = -1\n", subcommand)
+
+
+# Each schema default that its entry point also defaults, by entry point.
+ENTRY_DEFAULTS = [
+    ("simulate-lme", engine.LmeParams, {"pool_size", "seed", "track_powers"}),
+    ("brw", brw.BrwParams, {"replicas", "seed"}),
+    ("rg-chain", chain.RgParams, {"a", "q_list", "seed", "replicas"}),
+    ("prbm", prbm.PrbmEnsemble, {"seed"}),
+    ("laplace", laplace.converge_grid, {"init", "n_schedule", "refine"}),
+]
+
+
+def _defaults(entry) -> dict:
+    if dataclasses.is_dataclass(entry):
+        return {
+            f.name: f.default
+            for f in dataclasses.fields(entry)
+            if f.default is not dataclasses.MISSING
+        }
+    return {
+        name: p.default
+        for name, p in inspect.signature(entry).parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+
+
+@pytest.mark.parametrize(
+    "subcommand, entry, keys", ENTRY_DEFAULTS, ids=[s for s, _, _ in ENTRY_DEFAULTS]
+)
+def test_schema_defaults_match_the_entry_point(subcommand, entry, keys):
+    schema = harness.SCHEMAS[subcommand]
+    own = _defaults(entry)
+    assert set(own) & set(schema) == keys
+    for key in keys:
+        assert schema[key][1] == own[key], key

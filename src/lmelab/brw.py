@@ -129,7 +129,7 @@ def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
     shift = -0.5 * beta * beta
     m = pool.M_values
     out = np.empty_like(m)
-    for sl, i, j, rng in parent_pairs(m.size, rngs):
+    for sl, i, j, rng in parent_pairs(m.size, pool.blocks, rngs):
         a1 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
         a2 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
         out[sl] = a1 * m[i] + a2 * m[j]
@@ -146,7 +146,7 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
     shift = -0.5 * BETA_C * BETA_C
     m, d = pool.M_values, pool.D_values
     out_m, out_d = np.empty_like(m), np.empty_like(d)
-    for sl, i, j, rng in parent_pairs(m.size, rngs):
+    for sl, i, j, rng in parent_pairs(m.size, pool.blocks, rngs):
         v1 = rng.standard_normal(i.size)
         v2 = rng.standard_normal(i.size)
         a1 = 0.5 * np.exp(BETA_C * v1 + shift)
@@ -165,7 +165,7 @@ def step_max(pool: BrwPool, rngs) -> BrwPool:
         raise ValueError("pool does not carry maximum values")
     x = pool.X_max_values
     out = np.empty_like(x)
-    for sl, i, j, rng in parent_pairs(x.size, rngs):
+    for sl, i, j, rng in parent_pairs(x.size, pool.blocks, rngs):
         x1 = rng.standard_normal(i.size) + x[i]
         x2 = rng.standard_normal(i.size) + x[j]
         np.maximum(x1, x2, out=out[sl])

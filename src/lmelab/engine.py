@@ -6,14 +6,16 @@ by the exact T_n (quadrature, not its small-eps asymptote) keeps the pool's
 law normalized to mean one at every n and accumulates log E into logZ.
 
 The pool is partitioned into independent replica blocks: each block
-resamples parents only within itself from its own keyed stream.  The law
-of every sample is identical to resampling from one big pool, but block
-independence is what makes jackknife standard errors honest: a single
-resampled pool's mean performs an unavoidable random walk of width
-~ sqrt(n/pool) which slot-block jackknife cannot see, whereas independent
-replicas expose it as cross-block spread.  Moment estimates are the raw
-block means of the pool's powers, unbiased because the pool is normalized
-by the deterministic T_n.
+resamples parents only within itself.  One keyed stream per scale feeds
+every block, each block drawing from its own consecutive, disjoint stretch
+of it, so blocks stay independent.  The law of every sample is identical
+to resampling from one big pool, but block independence is what makes
+jackknife standard errors honest: a single resampled pool's mean performs
+an unavoidable random walk of width ~ sqrt(n/pool) which slot-block
+jackknife cannot see, whereas independent replicas expose it as
+cross-block spread.  Moment estimates are the raw block means of the
+pool's powers, unbiased because the pool is normalized by the
+deterministic T_n.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ __all__ = [
 
 _tn_cache: dict[tuple[float, float], float] = {}
 _BLOCKS = 32
+# Samples per chunk of the parent and angle draws: at 2^13 each int64 index
+# or float64 draw array is 64 KiB and stays in L2 while a chunk is mixed.
+# Sized by time and peak RSS alone, on a 2-core host with the lme
+# benchmark's pool (32768 samples in 32 blocks, 199 steps, T_n cached):
+# 67-72 ns/sample at 2^10 (one block per chunk), 48-55 at 2^11, 44-50 at
+# 2^12, 38-43 at 2^13, 50-54 at 2^14 and 57-62 at 2^15, with peak RSS
+# rising from 80.3 to 82.8 MiB over that range.  Blocks larger than a chunk
+# are drawn one at a time: a whole-pool draw raised the 2^20-replica brw's
+# peak RSS from 143 to 205 MiB (8 MiB temporaries) and its wall time by 20%.
+_CHUNK = 1 << 13
 
 
 def _check_pool_size(pool_size: int, blocks: int = _BLOCKS) -> None:
@@ -150,25 +162,32 @@ def init_pool(params: LmeParams) -> SamplePool:
     )
 
 
-def parent_pairs(size: int, rngs):
-    """Per replica block: (slice, i, j, rng) with parent indices i, j drawn
-    uniformly within the block and offset to whole-pool positions.
+def parent_pairs(size: int, blocks: int, rngs):
+    """Per chunk of whole replica blocks: (slice, i, j, rng) with parent
+    indices i, j drawn uniformly within each block of the chunk and offset
+    to whole-pool positions.
 
-    ``rngs`` holds one generator per block; i and j are drawn first, and
-    the caller draws the block's mixing variables from ``rng`` after them.
+    ``rngs`` holds one generator per equal group of consecutive blocks: a
+    single generator for the whole pool, or one per block.  A group is
+    walked in chunks of at most ``_CHUNK`` samples (at least one block);
+    each chunk draws i, then j, with one call each, and the caller draws
+    the chunk's mixing variables from ``rng`` after them.  Chunks of a
+    group thus consume consecutive, disjoint stretches of its generator.
+    A one-block chunk makes exactly the two calls of a per-block draw.
     """
-    # One block at a time, not one whole-pool draw with block offsets:
-    # on a 2-core host with a 2 MiB L2 the whole-pool variant raised the
-    # 2^20-replica BRW's peak RSS from 143 to 205 MiB (8 MiB temporaries)
-    # and its wall time by 20%, while a block's working set stays in cache.
-    p = size // len(rngs)
-    for k, rng in enumerate(rngs):
-        lo = k * p
-        i = rng.integers(0, p, p)
-        j = rng.integers(0, p, p)
-        i += lo
-        j += lo
-        yield slice(lo, lo + p), i, j, rng
+    p = size // blocks
+    per_rng = blocks // len(rngs)
+    per_chunk = min(max(_CHUNK // p, 1), per_rng)
+    for g, rng in enumerate(rngs):
+        for first in range(g * per_rng, (g + 1) * per_rng, per_chunk):
+            nb = min(per_chunk, (g + 1) * per_rng - first)
+            lo = first * p
+            offsets = np.arange(lo, lo + nb * p, p)[:, None]
+            i = rng.integers(0, p, (nb, p))
+            j = rng.integers(0, p, (nb, p))
+            i += offsets
+            j += offsets
+            yield slice(lo, lo + nb * p), i.ravel(), j.ravel(), rng
 
 
 def block_mean_se(values: np.ndarray, blocks: int) -> tuple[np.ndarray, float, float]:
@@ -179,19 +198,17 @@ def block_mean_se(values: np.ndarray, blocks: int) -> tuple[np.ndarray, float, f
 
 
 def step(pool: SamplePool, params: LmeParams) -> SamplePool:
-    """One scale step: resample parent pairs within each block from its
-    (seed, step, block) stream, mix with a fresh angle at eps = b/n, divide
-    by the exact T_n."""
+    """One scale step: resample parent pairs within each block from the
+    (seed, step) stream, mix with a fresh angle at eps = b/n, divide by the
+    exact T_n."""
     q = params.q
     eps = params.b / pool.n
     t_n = exact_Tn(q, eps)
     law = theta.ThetaLaw(eps)
-    rngs = [
-        derive_stream(params.seed, (DOMAIN_LME, pool.n, k)) for k in range(pool.blocks)
-    ]
+    rngs = [derive_stream(params.seed, (DOMAIN_LME, pool.n))]
     v = pool.values
     out = np.empty_like(v)
-    for sl, i, j, rng in parent_pairs(v.size, rngs):
+    for sl, i, j, rng in parent_pairs(v.size, pool.blocks, rngs):
         sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
         out[sl] = (sin2**q * v[i] + cos2**q * v[j]) / t_n
     return SamplePool(

@@ -5,9 +5,11 @@ Streams are counter-based (Philox-4x64) and keyed directly by
 the bit-packed labels in the other, so a stream is a pure function of its
 labels with no state hand-off between workers, identical output on every
 platform, and statistical independence across distinct keys by design of
-the generator.  Chunk labels are (domain, step, chunk): each replica block
-draws from its own key, so blocks stay statistically independent, and
-output depends on (seed, labels) alone.
+the generator.  Output depends on (seed, labels) alone.  The lme pool keys
+one stream per scale, (domain, step), and its replica blocks draw
+consecutive, disjoint stretches of it; the brw pool keys one stream per
+replica block, (domain, step, block).  Either way the blocks stay
+statistically independent.
 """
 
 from __future__ import annotations

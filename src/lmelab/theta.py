@@ -8,7 +8,8 @@ ratio construction to
 
     theta = (1/2) * arctan(s * C),      s = pi * eps / 2,
 
-with C standard Cauchy.  The density on [-pi/4, pi/4] is then closed form,
+with C standard Cauchy, drawn as tan(pi (U - 1/2)) from a uniform U.
+The density on [-pi/4, pi/4] is then closed form,
 
     r(theta) = 2 s / (pi * (s^2 cos^2 2theta + sin^2 2theta)),
 
@@ -36,7 +37,6 @@ from .errors import QuadratureWarning
 
 __all__ = [
     "ThetaLaw",
-    "theta_from_cauchy",
     "sample_theta",
     "sample_sin2_cos2",
     "theta_density",
@@ -63,28 +63,31 @@ class ThetaLaw:
         object.__setattr__(self, "s", 0.5 * math.pi * self.epsilon)
 
 
-def theta_from_cauchy(law: ThetaLaw, c):
-    """Deterministic odd map from a standard Cauchy draw to the angle."""
-    return 0.5 * np.arctan(law.s * np.asarray(c, dtype=float))
+def _cauchy_scaled(law: ThetaLaw, rng: np.random.Generator, size):
+    # s*C by the inverse Cauchy CDF, one uniform per draw
+    return law.s * np.tan(math.pi * (rng.random(size) - 0.5))
 
 
 def sample_theta(law: ThetaLaw, rng: np.random.Generator, size=None):
     """Exact sampler; returns a scalar for size=None, else an ndarray."""
-    c = rng.standard_cauchy(size)
-    out = theta_from_cauchy(law, c)
+    out = 0.5 * np.arctan(_cauchy_scaled(law, rng, size))
     return float(out) if size is None else out
 
 
 def sample_sin2_cos2(law: ThetaLaw, rng: np.random.Generator, size):
-    """Draw (sin^2 theta, cos^2 theta) pairs without evaluating trig.
+    """Draw (sin^2 theta, cos^2 theta) pairs without evaluating the angle.
 
-    cos(2 theta) = 1/sqrt(1 + (sC)^2) for theta = arctan(sC)/2, so the pair
-    follows from half-angle identities; this is the hot path of the pool
-    recursion.
+    With u = sC and r = sqrt(1 + u^2), cos(2 theta) = 1/r, so
+    sin^2 theta = (1 - 1/r)/2 = u^2/(2 r (1 + r)); the last form has no
+    cancellation at small |u|.  The uniforms are those ``sample_theta``
+    would draw from the same stream.  This is the hot path of the pool
+    recursion, drawn once per chunk of blocks from the scale's stream.
     """
-    u = law.s * rng.standard_cauchy(size)
-    inv = 1.0 / np.sqrt(1.0 + u * u)
-    return 0.5 * (1.0 - inv), 0.5 * (1.0 + inv)
+    u = _cauchy_scaled(law, rng, size)
+    u2 = u * u
+    r = np.sqrt(1.0 + u2)
+    sin2 = u2 / (2.0 * r * (1.0 + r))
+    return sin2, 1.0 - sin2
 
 
 def _density(s, sin2t, cos2t):

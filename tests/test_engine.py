@@ -12,6 +12,7 @@ from lmelab import engine as en
 from lmelab import moments as mo
 from lmelab import theta as th
 from lmelab.errors import QuadratureWarning
+from lmelab.streams import DOMAIN_LME, derive_stream
 
 
 def small_params(**kw):
@@ -122,15 +123,32 @@ class TestStep:
             p2 = en.step(p2, params)
         assert np.array_equal(p1.values, p2.values)
 
+    def test_one_stream_per_step(self, monkeypatch):
+        labels = []
+
+        def counting(seed, labs):
+            labels.append(tuple(labs))
+            return derive_stream(seed, labs)
+
+        monkeypatch.setattr(en, "derive_stream", counting)
+        params = small_params(n_max=10)
+        en.step(en.init_pool(params), params)
+        assert labels == [(DOMAIN_LME, 1)]
+
     def test_parents_stay_in_their_block(self):
         # at q = 1 the update is a convex combination of the two parents,
-        # so a block filled with k stays at k only if both come from it
-        params = en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=4000, seed=2, blocks=8)
-        labels = np.repeat(np.arange(params.blocks, dtype=float), 500)
-        pool = en.SamplePool(n=1, values=labels, logZ=0.0, blocks=params.blocks)
-        for _ in range(5):
-            pool = en.step(pool, params)
-        assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
+        # so a block filled with k stays at k only if both come from it;
+        # the cases are several blocks in one chunk, several multi-block
+        # chunks, and blocks larger than a chunk
+        for pool_size, blocks in ((4000, 8), (65536, 32), (20000, 2)):
+            params = en.LmeParams(
+                q=1.0, b=0.5, n_max=10, pool_size=pool_size, seed=2, blocks=blocks
+            )
+            labels = np.repeat(np.arange(blocks, dtype=float), pool_size // blocks)
+            pool = en.SamplePool(n=1, values=labels, logZ=0.0, blocks=blocks)
+            for _ in range(5):
+                pool = en.step(pool, params)
+            assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
 
 
 class TestRun:

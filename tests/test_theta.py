@@ -81,10 +81,21 @@ class TestDensity:
 
 class TestSampler:
     def test_antithetic_odd_map(self):
+        # the inverse-CDF draw maps U and 1 - U to opposite angles
+        class Uniforms:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size=None):
+                return self.u
+
         law = th.ThetaLaw(0.3)
-        c = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        u = np.array([1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-6])
         assert np.allclose(
-            th.theta_from_cauchy(law, c), -th.theta_from_cauchy(law, -c)
+            th.sample_theta(law, Uniforms(u), u.size),
+            -th.sample_theta(law, Uniforms(1.0 - u), u.size),
+            rtol=1e-12,
+            atol=1e-15,
         )
 
     def test_support(self):
@@ -107,6 +118,16 @@ class TestSampler:
         theta = th.sample_theta(law, np.random.default_rng(seed), 1000)
         assert np.allclose(s2, np.sin(theta) ** 2, atol=1e-13)
         assert np.allclose(s2 + c2, 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-12])
+    def test_sin2_relative_accuracy_at_small_eps(self, eps):
+        # 0.5 * (1 - 1/sqrt(1 + u^2)) cancels to 0 once u^2 falls below
+        # the rounding of 1; sin^2 must keep its relative accuracy there
+        law = th.ThetaLaw(eps)
+        s2, _ = th.sample_sin2_cos2(law, np.random.default_rng(31), 1000)
+        theta = th.sample_theta(law, np.random.default_rng(31), 1000)
+        ref = np.sin(theta) ** 2
+        assert np.all(np.abs(s2 / ref - 1.0) <= 1e-13)
 
     def test_mean_sin2_monte_carlo(self):
         eps = 1e-2

@@ -15,6 +15,12 @@ temperature beta_c = sqrt(2 log 2):
 Everything here runs both as a resampling pool (any depth) and as an
 explicit 2^depth-leaf tree (depth <= 20), the latter serving as the
 small-depth oracle for the former.
+
+A pool step derives one stream per replica block on the calling thread
+and hands its loop body to ``engine.map_chunks``, which runs the blocks on
+all usable cores.  The body calls only numpy and touches only its block's
+generator and output slice, so for a fixed seed the output is
+bit-identical to a one-thread run.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .engine import block_mean_se, ols, parent_pairs
+from .engine import block_mean_se, map_chunks, ols
 from .streams import DOMAIN_BRW, derive_stream
 
 __all__ = [
@@ -129,10 +135,13 @@ def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
     shift = -0.5 * beta * beta
     m = pool.M_values
     out = np.empty_like(m)
-    for sl, i, j, rng in parent_pairs(m.size, pool.blocks, rngs):
+
+    def mix(sl, i, j, rng):
         a1 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
         a2 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
         out[sl] = a1 * m[i] + a2 * m[j]
+
+    map_chunks(m.size, pool.blocks, rngs, mix)
     return BrwPool(n=pool.n + 1, M_values=out, blocks=pool.blocks)
 
 
@@ -146,16 +155,17 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
     shift = -0.5 * BETA_C * BETA_C
     m, d = pool.M_values, pool.D_values
     out_m, out_d = np.empty_like(m), np.empty_like(d)
-    for sl, i, j, rng in parent_pairs(m.size, pool.blocks, rngs):
+
+    def mix(sl, i, j, rng):
         v1 = rng.standard_normal(i.size)
         v2 = rng.standard_normal(i.size)
         a1 = 0.5 * np.exp(BETA_C * v1 + shift)
         a2 = 0.5 * np.exp(BETA_C * v2 + shift)
-        out_m[sl] = a1 * m[i] + a2 * m[j]
-        out_d[sl] = (
-            a1 * ((BETA_C - v1) * m[i] + d[i])
-            + a2 * ((BETA_C - v2) * m[j] + d[j])
-        )
+        mi, mj = m[i], m[j]
+        out_m[sl] = a1 * mi + a2 * mj
+        out_d[sl] = a1 * ((BETA_C - v1) * mi + d[i]) + a2 * ((BETA_C - v2) * mj + d[j])
+
+    map_chunks(m.size, pool.blocks, rngs, mix)
     return BrwPool(n=pool.n + 1, M_values=out_m, blocks=pool.blocks, D_values=out_d)
 
 
@@ -165,10 +175,13 @@ def step_max(pool: BrwPool, rngs) -> BrwPool:
         raise ValueError("pool does not carry maximum values")
     x = pool.X_max_values
     out = np.empty_like(x)
-    for sl, i, j, rng in parent_pairs(x.size, pool.blocks, rngs):
+
+    def mix(sl, i, j, rng):
         x1 = rng.standard_normal(i.size) + x[i]
         x2 = rng.standard_normal(i.size) + x[j]
         np.maximum(x1, x2, out=out[sl])
+
+    map_chunks(x.size, pool.blocks, rngs, mix)
     return BrwPool(
         n=pool.n + 1,
         M_values=pool.M_values,

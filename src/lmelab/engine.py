@@ -16,11 +16,20 @@ jackknife cannot see, whereas independent replicas expose it as
 cross-block spread.  Moment estimates are the raw block means of the
 pool's powers, unbiased because the pool is normalized by the
 deterministic T_n.
+
+``map_chunks`` walks the chunks of this pool and of the brw pool.
+Given one generator, as here, it walks the chunks in order on the calling
+thread and starts no thread.  Given one generator per block, as brw keeps
+on purpose, it spreads the blocks over the usable cores: each generator's
+chunks stay in order on one thread and write only their own slice of the
+output, so the result is bit-identical in whatever order the blocks run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +44,7 @@ __all__ = [
     "PaleyZygmund",
     "exact_Tn",
     "init_pool",
-    "parent_pairs",
+    "map_chunks",
     "block_mean_se",
     "step",
     "run",
@@ -54,7 +63,22 @@ _BLOCKS = 32
 # rising from 80.3 to 82.8 MiB over that range.  Blocks larger than a chunk
 # are drawn one at a time: a whole-pool draw raised the 2^20-replica brw's
 # peak RSS from 143 to 205 MiB (8 MiB temporaries) and its wall time by 20%.
+# brw draws each block from its own generator, so its chunks are single
+# blocks (32768 samples in its benchmark) and run on all usable cores.
 _CHUNK = 1 << 13
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that run chunk groups: the calling thread plus a pool of
+# _WORKERS - 1, created on the first call that has more than one group.
+_WORKERS = _usable_cores()
+_executor: ThreadPoolExecutor | None = None
 
 
 def _check_pool_size(pool_size: int, blocks: int = _BLOCKS) -> None:
@@ -162,32 +186,59 @@ def init_pool(params: LmeParams) -> SamplePool:
     )
 
 
-def parent_pairs(size: int, blocks: int, rngs):
-    """Per chunk of whole replica blocks: (slice, i, j, rng) with parent
-    indices i, j drawn uniformly within each block of the chunk and offset
-    to whole-pool positions.
+def map_chunks(size: int, blocks: int, rngs, kernel) -> None:
+    """Run ``kernel(sl, i, j, rng)`` on every chunk of whole replica blocks:
+    ``sl`` is the chunk's slice of the pool and i, j its parent indices,
+    drawn uniformly within each block of the chunk and offset to whole-pool
+    positions.
 
     ``rngs`` holds one generator per equal group of consecutive blocks: a
     single generator for the whole pool, or one per block.  A group is
     walked in chunks of at most ``_CHUNK`` samples (at least one block);
-    each chunk draws i, then j, with one call each, and the caller draws
+    each chunk draws i, then j, with one call each, and the kernel draws
     the chunk's mixing variables from ``rng`` after them.  Chunks of a
     group thus consume consecutive, disjoint stretches of its generator.
     A one-block chunk makes exactly the two calls of a per-block draw.
+
+    A single generator is walked on the calling thread.  G > 1 groups are
+    dealt round-robin to L = min(``_WORKERS``, G) lanes, each running its
+    groups in order: the calling thread runs groups 0, L, 2L, ... and the
+    thread pool the other lanes.  A kernel must therefore touch only its
+    own generator and its own slice of any output, and call nothing that
+    is not thread-safe.  The call returns, or re-raises a lane's error,
+    only once every lane has finished.
     """
+    global _executor
     p = size // blocks
     per_rng = blocks // len(rngs)
     per_chunk = min(max(_CHUNK // p, 1), per_rng)
-    for g, rng in enumerate(rngs):
-        for first in range(g * per_rng, (g + 1) * per_rng, per_chunk):
-            nb = min(per_chunk, (g + 1) * per_rng - first)
-            lo = first * p
-            offsets = np.arange(lo, lo + nb * p, p)[:, None]
-            i = rng.integers(0, p, (nb, p))
-            j = rng.integers(0, p, (nb, p))
-            i += offsets
-            j += offsets
-            yield slice(lo, lo + nb * p), i.ravel(), j.ravel(), rng
+
+    def lane(first_group: int, stride: int) -> None:
+        for g in range(first_group, len(rngs), stride):
+            rng = rngs[g]
+            for first in range(g * per_rng, (g + 1) * per_rng, per_chunk):
+                nb = min(per_chunk, (g + 1) * per_rng - first)
+                lo = first * p
+                offsets = np.arange(lo, lo + nb * p, p)[:, None]
+                i = rng.integers(0, p, (nb, p))
+                j = rng.integers(0, p, (nb, p))
+                i += offsets
+                j += offsets
+                kernel(slice(lo, lo + nb * p), i.ravel(), j.ravel(), rng)
+
+    stride = min(_WORKERS, len(rngs))
+    if stride == 1:
+        lane(0, 1)
+        return
+    if _executor is None:
+        _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="lmelab-chunks")
+    futures = [_executor.submit(lane, k, stride) for k in range(1, stride)]
+    try:
+        lane(0, stride)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def block_mean_se(values: np.ndarray, blocks: int) -> tuple[np.ndarray, float, float]:
@@ -208,9 +259,12 @@ def step(pool: SamplePool, params: LmeParams) -> SamplePool:
     rngs = [derive_stream(params.seed, (DOMAIN_LME, pool.n))]
     v = pool.values
     out = np.empty_like(v)
-    for sl, i, j, rng in parent_pairs(v.size, pool.blocks, rngs):
+
+    def mix(sl, i, j, rng):
         sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
         out[sl] = (sin2**q * v[i] + cos2**q * v[j]) / t_n
+
+    map_chunks(v.size, pool.blocks, rngs, mix)
     return SamplePool(
         n=pool.n + 1,
         values=out,

@@ -9,7 +9,10 @@ the generator.  Output depends on (seed, labels) alone.  The lme pool keys
 one stream per scale, (domain, step), and its replica blocks draw
 consecutive, disjoint stretches of it; the brw pool keys one stream per
 replica block, (domain, step, block).  Either way the blocks stay
-statistically independent.
+statistically independent.  brw keeps its per-block streams on purpose:
+blocks that share no generator can run on several threads at once
+(``engine.map_chunks``) with output bit-identical to a one-thread run,
+where one stream per step would chain them in order on one thread.
 """
 
 from __future__ import annotations

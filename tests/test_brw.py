@@ -2,11 +2,13 @@
 moment threshold, extreme-value centering, and pool-vs-tree agreement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from lmelab import brw
+from lmelab import brw, engine
 from lmelab.streams import DOMAIN_TEST, derive_stream
 
 
@@ -161,3 +163,93 @@ class TestTreeOracle:
         out = brw.tree_samples(brw.BETA_C, 8, 8000, rng, derivative=True)
         d = out["D"]
         assert abs(d.mean()) <= 5.0 * d.std() / math.sqrt(d.size)
+
+
+RUNS = {
+    "cascade": (brw.run_cascade, 0.5 * brw.BETA_C),
+    "derivative": (brw.run_derivative, brw.BETA_C),
+    "max": (brw.run_max, 1.0),
+}
+STEPS = {
+    "cascade": lambda pool, rngs: brw.step_cascade(pool, 0.5 * brw.BETA_C, rngs),
+    "derivative": brw.step_derivative,
+    "max": brw.step_max,
+}
+
+
+def assert_same_pools(a, b):
+    assert a.n == b.n
+    for name in ("M_values", "D_values", "X_max_values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y)
+
+
+class TestThreadedBlocks:
+    """The replica-block groups run on several threads with the same output
+    as one thread, bit for bit."""
+
+    # 32 blocks of 2000 and 8 blocks of 10000 samples (larger than a
+    # chunk); with 3 threads both have more groups than threads
+    @pytest.mark.parametrize("replicas, blocks", [(64_000, 32), (80_000, 8)])
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_runs_match_one_thread(self, mode, replicas, blocks, chunk_workers):
+        run, beta = RUNS[mode]
+        params = brw.BrwParams(beta=beta, depth=4, replicas=replicas, seed=9, blocks=blocks)
+        chunk_workers(1)
+        one = run(params)
+        chunk_workers(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose a race
+        try:
+            three = run(params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.keys() == three.keys()
+        for key in one:
+            if key == "final_pool":
+                assert_same_pools(one[key], three[key])
+            else:
+                assert np.array_equal(one[key], three[key])
+        assert engine._executor is not None  # the pool did run
+
+    @pytest.mark.parametrize("mode", sorted(STEPS))
+    def test_steps_with_several_blocks_per_chunk_match_one_thread(self, mode, chunk_workers):
+        # 4 generators for 32 blocks of 2000: each group walks two chunks
+        # of four blocks
+        params = brw.BrwParams(beta=1.0, depth=3, replicas=64_000, seed=9, blocks=32)
+        assert engine._CHUNK // 2000 == 4
+        start = brw.init_pool(params, derivative=mode == "derivative", track_max=mode == "max")
+
+        def walk():
+            pool = start
+            for k in range(params.depth):
+                rngs = [derive_stream(params.seed, (DOMAIN_TEST, k, g)) for g in range(4)]
+                pool = STEPS[mode](pool, rngs)
+            return pool
+
+        chunk_workers(1)
+        one = walk()
+        chunk_workers(3)
+        assert_same_pools(one, walk())
+
+    def test_streams_are_derived_on_the_calling_thread(self, monkeypatch, chunk_workers):
+        chunk_workers(3)
+        stream_threads, kernel_threads = set(), set()
+        derive, drive = brw.derive_stream, brw.map_chunks
+
+        def recording_derive(seed, labels):
+            stream_threads.add(threading.get_ident())
+            return derive(seed, labels)
+
+        def recording_drive(size, blocks, rngs, kernel):
+            def recorded(sl, i, j, rng):
+                kernel_threads.add(threading.get_ident())
+                kernel(sl, i, j, rng)
+
+            drive(size, blocks, rngs, recorded)
+
+        monkeypatch.setattr(brw, "derive_stream", recording_derive)
+        monkeypatch.setattr(brw, "map_chunks", recording_drive)
+        brw.run_cascade(brw.BrwParams(beta=1.0, depth=3, replicas=3200, seed=1))
+        assert stream_threads == {threading.get_ident()}
+        assert kernel_threads - {threading.get_ident()}  # the pool ran kernels

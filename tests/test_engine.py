@@ -1,18 +1,26 @@
 """Pool-engine checks against the deterministic moment machinery."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import lmelab
 from lmelab import analytics as an
 from lmelab import engine as en
 from lmelab import moments as mo
 from lmelab import theta as th
 from lmelab.errors import QuadratureWarning
-from lmelab.streams import DOMAIN_LME, derive_stream
+from lmelab.streams import DOMAIN_LME, DOMAIN_TEST, derive_stream
 
 
 def small_params(**kw):
@@ -149,6 +157,62 @@ class TestStep:
             for _ in range(5):
                 pool = en.step(pool, params)
             assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
+
+
+class TestMapChunks:
+    def test_worker_error_reaches_caller_once_every_lane_is_done(
+        self, monkeypatch, chunk_workers
+    ):
+        futures = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        chunk_workers(3)
+        monkeypatch.setattr(en, "_executor", Recording(2))
+        caller = threading.get_ident()
+        rngs = [derive_stream(0, (DOMAIN_TEST, 1, g)) for g in range(8)]
+
+        def kernel(sl, i, j, rng):
+            # 8 groups of 100 samples in 3 lanes: group 1 opens lane 1 and
+            # fails at once; lane 2 (groups 2 and 5) is still working then
+            if sl.start == 100:
+                assert threading.get_ident() != caller
+                raise ZeroDivisionError("in a worker")
+            if sl.start in (200, 500):
+                time.sleep(0.05)
+
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            en.map_chunks(800, 8, rngs, kernel)
+        assert len(futures) == 2
+        assert all(f.done() for f in futures)
+
+    def test_lme_run_starts_no_thread(self, chunk_workers):
+        chunk_workers(2)
+        before = threading.active_count()
+        en.run(small_params(n_max=20))
+        assert threading.active_count() == before
+        assert en._executor is None
+
+    def test_importing_the_package_starts_no_thread(self):
+        code = (
+            "import importlib, pkgutil, threading\n"
+            "import lmelab\n"
+            "for m in pkgutil.iter_modules(lmelab.__path__):\n"
+            "    importlib.import_module('lmelab.' + m.name)\n"
+            "print(threading.active_count())\n"
+        )
+        src = str(Path(lmelab.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["1"]
 
 
 class TestRun:

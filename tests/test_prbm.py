@@ -2,11 +2,14 @@
 against independent oracles, and the dimension regression."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import linalg as scipy_linalg
 
 from lmelab import prbm
+from lmelab.errors import ContractViolation
 from lmelab.streams import DOMAIN_TEST, derive_stream
 
 
@@ -81,6 +84,45 @@ class TestSymmetricEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             prbm.symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_runs_on_numpys_lapack(self):
+        # scipy.linalg.eigh runs on scipy's own OpenBLAS, whose thread pool
+        # contends with numpy's, which runs the contract products: on a
+        # 2-core host the crosscheck workload's eigh took 0.52-0.68 s on
+        # scipy's against 0.19-0.22 s on numpy's, and the contract products
+        # twice as long.  Keep one OpenBLAS runtime in this module.
+        assert prbm.linalg is np.linalg
+
+    def test_agrees_with_scipys_mrrr_solver(self):
+        # MRRR (syevr) in scipy's LAPACK build shares neither algorithm nor
+        # library with prbm's syevd, so it is an independent oracle
+        h = prbm.build_matrix(128, 0.1, rng_for(5))
+        w, v = prbm.symmetric_eig(h)
+        w_ref, v_ref = scipy_linalg.eigh(h, driver="evr")
+        assert np.abs(w - w_ref).max() <= 1e-10
+        ln_p = prbm.central_half_log_iprs(v, 2.0)
+        ln_p_ref = prbm.central_half_log_iprs(v_ref, 2.0)
+        assert np.abs(ln_p - ln_p_ref).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spoil, contract",
+        [
+            # at N 32 the 1e-7 offset is 5x the reconstruction tolerance
+            (lambda v: v + 1e-7, "reconstruction"),
+            (lambda v: v * np.where(np.arange(v.shape[1]) == 3, 1.0 + 1e-8, 1.0),
+             "orthonormality"),
+        ],
+        ids=["offset-vectors", "stretched-column"],
+    )
+    def test_contract_fires(self, monkeypatch, spoil, contract):
+        def eigh(h):
+            w, v = np.linalg.eigh(h)
+            return w, spoil(v)
+
+        monkeypatch.setattr(prbm, "linalg", SimpleNamespace(eigh=eigh))
+        h = prbm.build_matrix(32, 0.1, rng_for(5))
+        with pytest.raises(ContractViolation, match=contract):
+            prbm.symmetric_eig(h)
 
 
 class TestEstimateDq:

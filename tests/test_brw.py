@@ -105,6 +105,16 @@ class TestMax:
         se = pool.X_max_values.std() / math.sqrt(pool.X_max_values.size)
         assert abs(pool.X_max_values.mean() - 1.0 / math.sqrt(math.pi)) <= 3.0 * se
 
+    @pytest.mark.parametrize(
+        "depth, slope_fitted, log_fitted", [(5, False, False), (10, False, False), (11, False, True), (12, True, True)]
+    )
+    def test_centering_fit_needs_as_many_depths_as_parameters(self, depth, slope_fitted, log_fitted):
+        # depths n >= 10 enter the fit: stage one has 3 parameters, stage two 2
+        rec = brw.run_max(brw.BrwParams(beta=1.0, depth=depth, replicas=3200, seed=0))
+        assert len(rec["median"]) == max(depth - 9, 0)
+        assert math.isfinite(rec["slope"]) == slope_fitted
+        assert math.isfinite(rec["log_coefficient"]) == log_fitted
+
     def test_requires_max_pool(self):
         params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
         pool = brw.init_pool(params)
@@ -177,6 +187,39 @@ STEPS = {
 }
 
 
+class TestMedian:
+    """``brw._median`` is ``np.median``, NaN-aware, bit for bit."""
+
+    CASES = {
+        "plain": lambda x: x,
+        "ties": np.round,
+        "infinities": lambda x: np.concatenate([[np.inf], x[2:], [-np.inf]])[: x.size],
+        "nan": lambda x: np.where(np.arange(x.size) == x.size // 3, np.nan, x),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 1001, 1024, 2**20])
+    def test_matches_numpy(self, size, case):
+        x = self.CASES[case](derive_stream(5, (DOMAIN_TEST, size)).standard_normal(size))
+        kept = x.copy()
+        with np.errstate(invalid="ignore"):  # size 2: both average inf and -inf
+            got, want = brw._median(x), float(np.median(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert np.array_equal(x, kept, equal_nan=True)
+
+    @pytest.mark.parametrize("mode, key, pool_values", [
+        ("cascade", "median", "M_values"),
+        ("derivative", "d_median", "D_values"),
+        ("max", "median", "X_max_values"),
+    ])
+    def test_run_records_numpy_median_of_the_pool(self, mode, key, pool_values):
+        run, beta = RUNS[mode]
+        rec = run(brw.BrwParams(beta=beta, depth=11, replicas=3200, seed=4))
+        pool = getattr(rec["final_pool"], pool_values)
+        assert rec[key][-1] == float(np.median(pool))
+
+
 def assert_same_pools(a, b):
     assert a.n == b.n
     for name in ("M_values", "D_values", "X_max_values"):
@@ -208,8 +251,8 @@ class TestThreadedBlocks:
         for key in one:
             if key == "final_pool":
                 assert_same_pools(one[key], three[key])
-            else:
-                assert np.array_equal(one[key], three[key])
+            else:  # run_max's fit is NaN at this depth
+                assert np.array_equal(one[key], three[key], equal_nan=True)
         assert engine._executor is not None  # the pool did run
 
     @pytest.mark.parametrize("mode", sorted(STEPS))

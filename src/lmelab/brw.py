@@ -36,18 +36,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
-from .engine import block_mean_se, map_chunks, ols
+from .engine import _BLOCKS, block_mean_se, map_chunks, ols
 from .streams import DOMAIN_BRW, derive_stream
 
 __all__ = [
     "BETA_C",
     "BrwParams",
     "BrwPool",
-    "Verdict",
     "init_pool",
     "step_cascade",
     "step_derivative",
@@ -55,7 +54,6 @@ __all__ = [
     "run_cascade",
     "run_derivative",
     "run_max",
-    "moment_blowup_check",
     "second_moment_recursion",
     "tree_samples",
 ]
@@ -64,15 +62,10 @@ __all__ = [
 BETA_C = 1.1774100225154747
 
 _MAX_DEPTH = 40
-_BLOCKS = 32
 # the simulations a brw config selects with its ``mode`` key, one per
 # run_* entry point
 _MODES = ("cascade", "derivative", "max")
 _TREE_DEPTH_CAP = 20
-# moment_blowup_check lets the Hill index alone call a verdict only when it
-# lies this far from p; the band sits inside the 0.2 contract margin
-# around the threshold beta_c^2/beta^2.
-_TAIL_INDEX_BAND = 0.15
 
 
 def _check_mode(mode: str) -> None:
@@ -85,22 +78,29 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth must be in 1..{_MAX_DEPTH}, got {depth}")
 
 
-def _check_replicas(replicas: int, blocks: int = _BLOCKS) -> None:
-    if replicas < blocks or replicas % blocks != 0:
-        raise ValueError(f"replicas must be a positive multiple of {blocks}, got {replicas}")
+def _check_replicas(replicas: int) -> None:
+    if replicas < _BLOCKS or replicas % _BLOCKS != 0:
+        raise ValueError(f"replicas must be a positive multiple of {_BLOCKS}, got {replicas}")
 
 
 @dataclass(frozen=True)
 class BrwParams:
+    """One brw run of ``replicas`` in ``blocks`` independent replica blocks;
+    ``blocks`` is the fixed ``engine._BLOCKS``, not a constructor argument.
+
+    Only the cascade reads ``beta``: the derivative runs at ``BETA_C``, and
+    the maximum recursion takes no beta.
+    """
+
     beta: float
     depth: int
     replicas: int = 1_000_000
     seed: int = 0
-    blocks: int = _BLOCKS
+    blocks: ClassVar[int] = _BLOCKS
 
     def __post_init__(self):
         _check_depth(self.depth)
-        _check_replicas(self.replicas, self.blocks)
+        _check_replicas(self.replicas)
 
 
 @dataclass
@@ -109,15 +109,8 @@ class BrwPool:
 
     n: int
     M_values: np.ndarray
-    blocks: int
     D_values: np.ndarray | None = None
     X_max_values: np.ndarray | None = None
-
-
-class Verdict(Enum):
-    STABLE = "STABLE"
-    GROWING = "GROWING"
-    INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def _median(x: np.ndarray) -> float:
@@ -145,7 +138,6 @@ def init_pool(params: BrwParams, *, derivative: bool = False, track_max: bool = 
     return BrwPool(
         n=0,
         M_values=np.ones(p),
-        blocks=params.blocks,
         D_values=np.zeros(p) if derivative else None,
         X_max_values=np.zeros(p) if track_max else None,
     )
@@ -154,7 +146,7 @@ def init_pool(params: BrwParams, *, derivative: bool = False, track_max: bool = 
 def _block_rngs(params: BrwParams, step_index: int):
     return [
         derive_stream(params.seed, (DOMAIN_BRW, step_index, k))
-        for k in range(params.blocks)
+        for k in range(_BLOCKS)
     ]
 
 
@@ -170,8 +162,8 @@ def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
         a2 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
         out[sl] = a1 * m[i] + a2 * m[j]
 
-    map_chunks(m.size, pool.blocks, rngs, mix)
-    return BrwPool(n=pool.n + 1, M_values=out, blocks=pool.blocks)
+    map_chunks(m.size, rngs, mix)
+    return BrwPool(n=pool.n + 1, M_values=out)
 
 
 def step_derivative(pool: BrwPool, rngs) -> BrwPool:
@@ -194,8 +186,8 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
         out_m[sl] = a1 * mi + a2 * mj
         out_d[sl] = a1 * ((BETA_C - v1) * mi + d[i]) + a2 * ((BETA_C - v2) * mj + d[j])
 
-    map_chunks(m.size, pool.blocks, rngs, mix)
-    return BrwPool(n=pool.n + 1, M_values=out_m, blocks=pool.blocks, D_values=out_d)
+    map_chunks(m.size, rngs, mix)
+    return BrwPool(n=pool.n + 1, M_values=out_m, D_values=out_d)
 
 
 def step_max(pool: BrwPool, rngs) -> BrwPool:
@@ -210,13 +202,8 @@ def step_max(pool: BrwPool, rngs) -> BrwPool:
         x2 = rng.standard_normal(i.size) + x[j]
         np.maximum(x1, x2, out=out[sl])
 
-    map_chunks(x.size, pool.blocks, rngs, mix)
-    return BrwPool(
-        n=pool.n + 1,
-        M_values=pool.M_values,
-        blocks=pool.blocks,
-        X_max_values=out,
-    )
+    map_chunks(x.size, rngs, mix)
+    return BrwPool(n=pool.n + 1, M_values=pool.M_values, X_max_values=out)
 
 
 def run_cascade(params: BrwParams) -> dict:
@@ -225,12 +212,12 @@ def run_cascade(params: BrwParams) -> dict:
     rec = {"n": [], "mean": [], "se": [], "median": [], "m2": [], "m2_se": []}
 
     def note(pool):
-        _, mean, se = block_mean_se(pool.M_values, pool.blocks)
+        mean, se = block_mean_se(pool.M_values)
         rec["n"].append(pool.n)
         rec["mean"].append(mean)
         rec["se"].append(se)
         rec["median"].append(_median(pool.M_values))
-        _, m2, m2_se = block_mean_se(pool.M_values**2, pool.blocks)
+        m2, m2_se = block_mean_se(pool.M_values**2)
         rec["m2"].append(m2)
         rec["m2_se"].append(m2_se)
 
@@ -244,13 +231,14 @@ def run_cascade(params: BrwParams) -> dict:
 
 def run_derivative(params: BrwParams) -> dict:
     """Paired (M, D) trajectory at beta_c: D has mean zero at every depth
-    and an almost-surely positive limit visible through its median."""
+    and an almost-surely positive limit visible through its median.  The
+    run is at ``BETA_C`` whatever ``params.beta`` holds."""
     pool = init_pool(params, derivative=True)
     rec = {"n": [], "d_mean": [], "d_se": [], "d_median": [], "m_mean": [], "m_se": []}
     for step_index in range(params.depth):
         pool = step_derivative(pool, _block_rngs(params, step_index))
-        _, d_mean, d_se = block_mean_se(pool.D_values, pool.blocks)
-        _, m_mean, m_se = block_mean_se(pool.M_values, pool.blocks)
+        d_mean, d_se = block_mean_se(pool.D_values)
+        m_mean, m_se = block_mean_se(pool.M_values)
         rec["n"].append(pool.n)
         rec["d_mean"].append(d_mean)
         rec["d_se"].append(d_se)
@@ -269,7 +257,8 @@ def run_max(params: BrwParams) -> dict:
     beta_c); stage two subtracts the exact beta_c n and fits the log term
     alone (C estimates -3/(2 beta_c)).  A stage with fewer depths than
     parameters (depth < 12 for stage one, < 11 for stage two) has no fit,
-    and its estimate is NaN."""
+    and its estimate is NaN.  The recursion takes no beta, so
+    ``params.beta`` is not read."""
 
     def coefficient(design, y):
         coef, se, _ = ols(design, y)
@@ -307,59 +296,6 @@ def second_moment_recursion(beta: float, depth: int) -> list[float]:
     for _ in range(depth):
         vals.append(g * vals[-1] + 0.5)
     return vals
-
-
-def hill_tail_index(sample: np.ndarray) -> float:
-    """Hill estimator of the power-law tail index from the top k = 1000
-    order statistics."""
-    k = 1000
-    if k + 1 >= sample.size:
-        raise ValueError("sample must hold more than 1001 values")
-    x = np.partition(sample, sample.size - k - 1)[-(k + 1):]
-    x = np.sort(x)[::-1]
-    return float(1.0 / np.mean(np.log(x[:k] / x[k])))
-
-
-def moment_blowup_check(
-    beta: float,
-    p: float,
-    *,
-    replicas: int = 1_000_000,
-    seed: int = 0,
-) -> Verdict:
-    """Decide whether E[M^p] diverges with depth, against the classical
-    p < beta_c^2/beta^2 threshold.
-
-    Two signals combine.  (1) The direct one: the empirical p-th moment
-    doubling between depths 20 and 40.  Doubling is conclusive when it
-    happens, but on the divergent side with tail index below 2 the growth
-    of the true moment is carried by events rarer than 1/replicas, and the
-    empirical moment becomes a max-dominated draw with no depth trend, so
-    lack of doubling proves nothing there.  (2) The decidable one: the
-    Hill tail-index estimate of the depth-40 sample; the p-th moment of
-    the limit law is finite iff p is below the tail index, and at the
-    contract margins (|p - beta_c^2/beta^2| >= 0.2, replicas ~ 1e6) the
-    index is estimated sharply enough to call the verdict.
-    """
-    if not 0.0 < beta < BETA_C:
-        raise ValueError(f"blowup check requires beta in (0, beta_c), got {beta}")
-    params = BrwParams(beta=beta, depth=40, replicas=replicas, seed=seed)
-    pool = init_pool(params)
-    m_lo = None
-    for step_index in range(params.depth):
-        pool = step_cascade(pool, beta, _block_rngs(params, step_index))
-        if pool.n == 20:
-            m_lo = float(np.mean(pool.M_values**p))
-    m_hi = float(np.mean(pool.M_values**p))
-    ratio = m_hi / m_lo
-    index = hill_tail_index(pool.M_values)
-    if ratio >= 2.0 and index < p:
-        return Verdict.GROWING
-    if index < p - _TAIL_INDEX_BAND:
-        return Verdict.GROWING
-    if ratio <= 1.5 and index > p + _TAIL_INDEX_BAND:
-        return Verdict.STABLE
-    return Verdict.INCONCLUSIVE
 
 
 def tree_samples(

@@ -155,12 +155,10 @@ def init_chain(N: int, rng: np.random.Generator) -> ChainState:
 def ipr(vector, q: float) -> float | np.ndarray:
     """P(q) = sum |amplitude|^{2q} over the support (unit-norm input).
 
-    ``vector`` is a ``{site: amplitude}`` map or an array whose last axis
-    holds the amplitudes; a 2-D array gives one P(q) per row.  Only the
-    nonzero entries are raised to the power q.
+    ``vector`` is an array whose last axis holds the amplitudes; a 2-D
+    array gives one P(q) per row.  Only the nonzero entries are raised to
+    the power q.
     """
-    if isinstance(vector, dict):
-        vector = list(vector.values())
     amps = np.asarray(vector, dtype=float)
     support = amps != 0.0
     p = amps[support]  # a copy of the nonzero entries, row after row

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _tn_cache: dict[tuple[float, float], float] = {}
+# Independent replica blocks of every lme and brw pool; pool sizes are
+# multiples of it, and the samples per block follow from the pool size.
 _BLOCKS = 32
 # Samples per chunk of the parent and angle draws: at 2^13 each int64 index
 # or float64 draw array is 64 KiB and stays in L2 while a chunk is mixed.
@@ -81,11 +83,11 @@ _WORKERS = _usable_cores()
 _executor: ThreadPoolExecutor | None = None
 
 
-def _check_pool_size(pool_size: int, blocks: int = _BLOCKS) -> None:
+def _check_pool_size(pool_size: int) -> None:
     if pool_size < 1000:
         raise ValueError("pool_size must be >= 1000")
-    if pool_size % blocks != 0:
-        raise ValueError(f"pool_size {pool_size} not divisible by {blocks} blocks")
+    if pool_size % _BLOCKS != 0:
+        raise ValueError(f"pool_size {pool_size} not divisible by {_BLOCKS} blocks")
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,6 @@ class LmeParams:
     pool_size: int = 100_000
     seed: int = 0
     track_powers: tuple[float, ...] = (2.0, 3.0)
-    blocks: int = _BLOCKS
 
     def __post_init__(self):
         if not self.q > 0.5:
@@ -107,7 +108,7 @@ class LmeParams:
             raise ValueError(f"b must be positive, got {self.b}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        _check_pool_size(self.pool_size, self.blocks)
+        _check_pool_size(self.pool_size)
 
 
 @dataclass
@@ -117,7 +118,6 @@ class SamplePool:
     n: int
     values: np.ndarray
     logZ: float
-    blocks: int
 
 
 @dataclass(frozen=True)
@@ -178,27 +178,23 @@ def exact_Tn(q: float, epsilon: float) -> float:
 
 def init_pool(params: LmeParams) -> SamplePool:
     """Deterministic unit pool at scale 1 (the raw quantity starts at 1)."""
-    return SamplePool(
-        n=1,
-        values=np.ones(params.pool_size),
-        logZ=0.0,
-        blocks=params.blocks,
-    )
+    return SamplePool(n=1, values=np.ones(params.pool_size), logZ=0.0)
 
 
-def map_chunks(size: int, blocks: int, rngs, kernel) -> None:
+def map_chunks(size: int, rngs, kernel) -> None:
     """Run ``kernel(sl, i, j, rng)`` on every chunk of whole replica blocks:
     ``sl`` is the chunk's slice of the pool and i, j its parent indices,
     drawn uniformly within each block of the chunk and offset to whole-pool
     positions.
 
-    ``rngs`` holds one generator per equal group of consecutive blocks: a
-    single generator for the whole pool, or one per block.  A group is
-    walked in chunks of at most ``_CHUNK`` samples (at least one block);
-    each chunk draws i, then j, with one call each, and the kernel draws
-    the chunk's mixing variables from ``rng`` after them.  Chunks of a
-    group thus consume consecutive, disjoint stretches of its generator.
-    A one-block chunk makes exactly the two calls of a per-block draw.
+    ``rngs`` holds one generator per equal group of consecutive blocks of
+    the pool's ``_BLOCKS``: a single generator for the whole pool, or one
+    per block.  A group is walked in chunks of at most ``_CHUNK`` samples
+    (at least one block); each chunk draws i, then j, with one call each,
+    and the kernel draws the chunk's mixing variables from ``rng`` after
+    them.  Chunks of a group thus consume consecutive, disjoint stretches
+    of its generator.  A one-block chunk makes exactly the two calls of a
+    per-block draw.
 
     A single generator is walked on the calling thread.  G > 1 groups are
     dealt round-robin to L = min(``_WORKERS``, G) lanes, each running its
@@ -209,8 +205,8 @@ def map_chunks(size: int, blocks: int, rngs, kernel) -> None:
     only once every lane has finished.
     """
     global _executor
-    p = size // blocks
-    per_rng = blocks // len(rngs)
+    p = size // _BLOCKS
+    per_rng = _BLOCKS // len(rngs)
     per_chunk = min(max(_CHUNK // p, 1), per_rng)
 
     def lane(first_group: int, stride: int) -> None:
@@ -241,11 +237,11 @@ def map_chunks(size: int, blocks: int, rngs, kernel) -> None:
         f.result()
 
 
-def block_mean_se(values: np.ndarray, blocks: int) -> tuple[np.ndarray, float, float]:
-    """Per-block means of ``values``, their mean, and its standard error
-    from the spread across independent blocks."""
-    means = values.reshape(blocks, -1).mean(axis=1)
-    return means, float(means.mean()), float(means.std(ddof=1) / math.sqrt(blocks))
+def block_mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the ``_BLOCKS`` block means of ``values``, and its standard
+    error from their spread across independent blocks."""
+    means = values.reshape(_BLOCKS, -1).mean(axis=1)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(_BLOCKS))
 
 
 def step(pool: SamplePool, params: LmeParams) -> SamplePool:
@@ -264,13 +260,8 @@ def step(pool: SamplePool, params: LmeParams) -> SamplePool:
         sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
         out[sl] = (sin2**q * v[i] + cos2**q * v[j]) / t_n
 
-    map_chunks(v.size, pool.blocks, rngs, mix)
-    return SamplePool(
-        n=pool.n + 1,
-        values=out,
-        logZ=pool.logZ + math.log(t_n),
-        blocks=pool.blocks,
-    )
+    map_chunks(v.size, rngs, mix)
+    return SamplePool(n=pool.n + 1, values=out, logZ=pool.logZ + math.log(t_n))
 
 
 def _checkpoints(n_max: int) -> list[int]:
@@ -296,11 +287,11 @@ def run(params: LmeParams) -> RunRecord:
     def record(pool):
         rec.ns.append(pool.n)
         rec.logZ.append(pool.logZ)
-        _, mean, se = block_mean_se(pool.values, pool.blocks)
+        mean, se = block_mean_se(pool.values)
         rec.means.append(mean)
         rec.mean_ses.append(se)
         for p in params.track_powers:
-            _, mean, se = block_mean_se(pool.values**p, pool.blocks)
+            mean, se = block_mean_se(pool.values**p)
             rec.moments[p].append(mean)
             rec.ses[p].append(se)
 

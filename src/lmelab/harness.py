@@ -88,6 +88,8 @@ SCHEMAS: dict[str, dict] = {
     },
     "brw": {
         "mode": (str, "cascade", _checked("mode", brw._check_mode)),
+        # read by the cascade alone: derivative runs at brw.BETA_C and max
+        # takes no beta, yet every mode accepts the key
         "beta": (float, 0.8326, _positive("beta")),
         "depth": (int, 40, _checked("depth", brw._check_depth)),
         "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),

@@ -15,10 +15,6 @@ The density on [-pi/4, pi/4] is then closed form,
 
 so sampling is exact and branch-free, and the distribution function is
 F(theta) = 1/2 + arctan(tan(2 theta)/s)/pi.
-
-As eps -> 0 the law degenerates at 0, and for f(theta) = O(|theta|^a),
-a > 1, expectations obey E[f] = eps * int f/sin^2(2 theta) + O(eps^a);
-:func:`singular_limit` computes that limiting integral.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "theta_density",
     "theta_cdf",
     "expect_theta",
-    "singular_limit",
     "gauss_panels",
     "folded_rule",
 ]
@@ -151,39 +146,6 @@ def expect_theta(
     if err > 50.0 * tol:
         warnings.warn(
             f"expect_theta error estimate {err:.2e} exceeds tolerance {tol:.2e}",
-            QuadratureWarning,
-            stacklevel=2,
-        )
-    return val
-
-
-def singular_limit(f: Callable[[float], float], *, tol: float = 1e-10) -> float:
-    """Limiting functional int_{-pi/4}^{pi/4} f(theta)/sin^2(2 theta) dtheta.
-
-    The caller asserts f(theta) = O(|theta|^a) with a > 1, which makes the
-    integrand integrable at 0; expectations at scale eps satisfy
-    |E[f] - eps * singular_limit(f)| = O(eps^a).
-    """
-
-    def integrand(t: float) -> float:
-        s2 = math.sin(2.0 * t) ** 2
-        if s2 == 0.0:
-            return 0.0
-        return f(t) / s2
-
-    val, err = integrate.quad(
-        integrand,
-        -_QUARTER_PI,
-        _QUARTER_PI,
-        points=[0.0],
-        epsabs=tol,
-        epsrel=tol,
-        limit=400,
-    )
-    if err > max(50.0 * tol, 1e-7 * abs(val)):
-        warnings.warn(
-            f"singular_limit error estimate {err:.2e}: integrand may not be "
-            "integrable at 0 (need f = O(|theta|^a), a > 1)",
             QuadratureWarning,
             stacklevel=2,
         )

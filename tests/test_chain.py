@@ -17,7 +17,7 @@ def rng_for(tag: int):
 
 class TestInit:
     def test_basis_vectors_have_unit_ipr(self):
-        vectors = ch.init_chain(64, rng_for(0)).vectors
+        vectors = ch.init_chain(64, rng_for(0)).V
         for q in (0.7, 1.0, 2.0, 3.5):
             assert all(ch.ipr(v, q) == 1.0 for v in vectors)
 
@@ -47,7 +47,7 @@ class TestInit:
 class TestIpr:
     def test_uniform_vector(self):
         k = 16
-        v = {i: 1.0 / math.sqrt(k) for i in range(k)}
+        v = np.full(k, 1.0 / math.sqrt(k))
         for q in (0.75, 2.0, 3.0):
             assert ch.ipr(v, q) == pytest.approx(k ** (1.0 - q), rel=1e-12)
 
@@ -55,8 +55,7 @@ class TestIpr:
         rng = rng_for(3)
         amps = rng.standard_normal(10)
         amps /= np.linalg.norm(amps)
-        v = dict(enumerate(amps))
-        assert ch.ipr(v, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert ch.ipr(amps, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_accepts_dense_arrays(self):
         v = np.zeros(32)
@@ -74,8 +73,7 @@ class TestIpr:
             got = ch.ipr(rows, q)
             assert got.shape == (9,)
             for row, p in zip(rows, got):
-                sparse = {k: a for k, a in enumerate(row) if a != 0.0}
-                assert p == pytest.approx(ch.ipr(sparse, q), rel=1e-14)
+                assert p == pytest.approx(ch.ipr(row, q), rel=1e-14)
         assert np.array_equal(ch.ipr(np.zeros((3, 4)), 2.0), np.zeros(3))
 
 
@@ -90,7 +88,7 @@ class TestStepScale:
             state = ch.step_scale(state, params, rng)
         assert state.n == 16
         assert np.array_equal(state.E, e0)
-        assert all(ch.ipr(v, 2.0) == 1.0 for v in state.vectors)
+        assert all(ch.ipr(v, 2.0) == 1.0 for v in state.V)
 
     def test_rotation_exactness(self):
         params = ch.RgParams(N=512, b=0.3, n_max=32, seed=3)
@@ -135,11 +133,10 @@ class TestStepScale:
         state = ch.init_chain(64, rng)
         state = ch.step_scale(state, params, rng)
         q = 1.7
-        vectors = state.vectors
         for ev in state.resonance_log:
             c2q = math.cos(ev.theta) ** 2
             s2q = math.sin(ev.theta) ** 2
-            got = ch.ipr(vectors[ev.i], q)
+            got = ch.ipr(state.V[ev.i], q)
             expect = c2q**q * 1.0 + s2q**q * 1.0  # parents were basis vectors
             assert got == pytest.approx(expect, rel=1e-12)
             assert not ev.overlapped

@@ -57,6 +57,16 @@ class TestExactTn:
         assert t_two < 1.0
         assert (1.0 - t_two) / 1e-3 == pytest.approx(math.pi / 4, rel=0.01)
 
+    @pytest.mark.parametrize("q", [0.6, 0.75, 1.5, 2.0, 3.0])
+    def test_error_order_against_T_of_q(self, q):
+        # 1 - T_n = E[f] for f = 1 - sin^{2q} - cos^{2q} = O(|theta|^a),
+        # a = min(2q, 2), so |1 - T_n - eps T(q)| = O(eps^a): a log-log fit
+        # of the deviation over eps = 2^-4 ... 2^-9
+        eps = 2.0 ** -np.arange(4, 10)
+        dev = [abs(1.0 - en.exact_Tn(q, e) - e * an.T_of_q(q)) for e in eps]
+        slope = np.polyfit(np.log(eps), np.log(dev), 1)[0]
+        assert slope == pytest.approx(min(2.0 * q, 2.0), abs=0.15)
+
     def test_cache_round_trip(self):
         v1 = en.exact_Tn(0.8, 0.05)
         v2 = en.exact_Tn(0.8, 0.05)
@@ -119,7 +129,7 @@ class TestStep:
         for _ in range(30):
             pool = en.step(pool, params)
         assert np.all(pool.values >= 0.0)
-        _, mean, se = en.block_mean_se(pool.values, pool.blocks)
+        mean, se = en.block_mean_se(pool.values)
         assert abs(mean - 1.0) <= 5.0 * se
 
     def test_deterministic_replay(self):
@@ -143,17 +153,17 @@ class TestStep:
         en.step(en.init_pool(params), params)
         assert labels == [(DOMAIN_LME, 1)]
 
-    def test_parents_stay_in_their_block(self):
+    def test_parents_stay_in_their_block(self, monkeypatch):
         # at q = 1 the update is a convex combination of the two parents,
         # so a block filled with k stays at k only if both come from it;
-        # the cases are several blocks in one chunk, several multi-block
-        # chunks, and blocks larger than a chunk
-        for pool_size, blocks in ((4000, 8), (65536, 32), (20000, 2)):
-            params = en.LmeParams(
-                q=1.0, b=0.5, n_max=10, pool_size=pool_size, seed=2, blocks=blocks
-            )
-            labels = np.repeat(np.arange(blocks, dtype=float), pool_size // blocks)
-            pool = en.SamplePool(n=1, values=labels, logZ=0.0, blocks=blocks)
+        # the cases are several blocks in one chunk (32 of 100), several
+        # multi-block chunks (8 of 4 blocks of 2048), and blocks larger than
+        # a chunk (2000 samples against a chunk cut to 1024)
+        for pool_size, chunk in ((3200, en._CHUNK), (65536, en._CHUNK), (64000, 1 << 10)):
+            monkeypatch.setattr(en, "_CHUNK", chunk)
+            params = en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=pool_size, seed=2)
+            labels = np.repeat(np.arange(en._BLOCKS, dtype=float), pool_size // en._BLOCKS)
+            pool = en.SamplePool(n=1, values=labels, logZ=0.0)
             for _ in range(5):
                 pool = en.step(pool, params)
             assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
@@ -176,16 +186,17 @@ class TestMapChunks:
         rngs = [derive_stream(0, (DOMAIN_TEST, 1, g)) for g in range(8)]
 
         def kernel(sl, i, j, rng):
-            # 8 groups of 100 samples in 3 lanes: group 1 opens lane 1 and
-            # fails at once; lane 2 (groups 2 and 5) is still working then
-            if sl.start == 100:
+            # 8 groups of 4 blocks of 100 samples in 3 lanes: group 1 opens
+            # lane 1 and fails at once; lane 2 (groups 2 and 5) is still
+            # working then
+            if sl.start == 400:
                 assert threading.get_ident() != caller
                 raise ZeroDivisionError("in a worker")
-            if sl.start in (200, 500):
+            if sl.start in (800, 2000):
                 time.sleep(0.05)
 
         with pytest.raises(ZeroDivisionError, match="in a worker"):
-            en.map_chunks(800, 8, rngs, kernel)
+            en.map_chunks(3200, rngs, kernel)
         assert len(futures) == 2
         assert all(f.done() for f in futures)
 

@@ -181,7 +181,7 @@ def test_pool_matches_the_recursion_law():
     ts = (0.1, 0.3, 1.0, 3.0, 10.0)
     law = la.grid_eval(la.iterate_phi(q, b, 1, n, la.make_grid()), ts)
     for t, phi in zip(ts, law):
-        _, mean, se = en.block_mean_se(np.exp(-t * pool.values), pool.blocks)
+        mean, se = en.block_mean_se(np.exp(-t * pool.values))
         assert abs(mean - phi) <= 5.0 * se
 
 

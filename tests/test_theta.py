@@ -1,5 +1,5 @@
-"""Angle-law checks: density/CDF/sampler consistency, the degenerate-scale
-limit functional, and the regularization bounds of the scale family."""
+"""Angle-law checks: density/CDF/sampler consistency, small-eps scaling,
+and the regularization bounds of the scale family."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmelab import analytics as an
 from lmelab import theta as th
 
 
@@ -169,42 +168,6 @@ class TestExpectations:
         law = th.ThetaLaw(eps)
         val = th.expect_theta(law, lambda t: math.sin(t) ** 2)
         assert abs(val / (eps / 2) - 1.0) < 0.01
-
-
-class TestSingularLimit:
-    def test_sin2_closed_form(self):
-        # sin^2/sin^2(2t) = 1/(4 cos^2 t) has antiderivative tan(t)/4
-        assert th.singular_limit(lambda t: math.sin(t) ** 2) == pytest.approx(
-            0.5, abs=1e-10
-        )
-
-    def test_matches_decay_exponent_at_two(self):
-        f = lambda t: 1 - math.sin(t) ** 4 - math.cos(t) ** 4
-        assert th.singular_limit(f) == pytest.approx(math.pi / 4, abs=1e-9)
-
-    def test_matches_decay_exponent_at_fractional_q(self):
-        q = 0.75
-        f = lambda t: 1 - (math.sin(t) ** 2) ** q - (math.cos(t) ** 2) ** q
-        assert th.singular_limit(f) == pytest.approx(an.T_of_q(q), abs=1e-9)
-
-    def test_odd_function_vanishes(self):
-        f = lambda t: (math.sin(t) ** 2 * math.cos(t) ** 2) * math.sin(2 * t)
-        assert th.singular_limit(f) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "f,alpha",
-        [
-            (lambda t: math.sin(t) ** 2, 2.0),
-            (lambda t: abs(math.sin(t)) ** 1.5, 1.5),
-        ],
-    )
-    def test_expectation_error_order(self, f, alpha):
-        # |E_eps[f] - eps * limit| = O(eps^alpha), checked by a log-log fit
-        lim = th.singular_limit(f)
-        eps = 2.0 ** -np.arange(4, 10)
-        dev = [abs(th.expect_theta(th.ThetaLaw(e), f) - e * lim) for e in eps]
-        slope = np.polyfit(np.log(eps), np.log(dev), 1)[0]
-        assert slope == pytest.approx(alpha, abs=0.15)
 
 
 class TestChiBounds:

@@ -37,6 +37,14 @@ Grid representation: values on a logarithmic t-grid, C^2 cubic spline in
 ln t between nodes, truncated alternating moment series below t_min, and a
 clamp above t_max.  Monotonicity is enforced by isotonic projection after
 every step; the projection distance is a contract (<= 1e-9), not a crutch.
+The fixed-rule paths (:func:`iterate_phi`, the stationary residual and the
+preconditioner) evaluate the grid only at node-times-multiplier points
+t_i m, which on a grid uniform in ln t lie a fixed number of spline
+intervals from their node, so :func:`_outer_evaluator` reads them off one
+row of interval values per multiplier, with no search; it raises
+ValueError on a grid that is not uniform in ln t.  Arbitrary points
+(:func:`grid_eval` and the oracle :func:`stationary_residual`) go through
+the interval search of :func:`_evaluator`.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
@@ -100,8 +109,8 @@ _INNER_RTOL = 1e-3
 # (q = 0.75, delta), 2.8e-13 (q = 0.9, delta) and 1.1e-11 (q = 0.9,
 # exponential), leave the probe residuals within 3e-13, and take 20 residual
 # evaluations against 23 at q = 0.75 (31 against 23 at q = 0.9,
-# exponential).  The 968 recursion steps it skips took 3.7 s of
-# converge_grid(0.75, 0.5, n_schedule=1000) (0.19 s against 3.92 s, medians
+# exponential).  The 968 recursion steps it skips took 1.2 s of
+# converge_grid(0.75, 0.5, n_schedule=1000) (0.073 s against 1.25 s, medians
 # of three, 2-core Xeon host).  Starting from the initial law alone costs up
 # to 38 evaluations (q = 0.9, exponential).
 _WARM_START = 32
@@ -191,6 +200,70 @@ def _evaluator(grid: GridFunction):
     return ev
 
 
+def _log_step(lnt: np.ndarray) -> float:
+    """Spacing h of grid nodes ln t that are uniform in ln t.
+
+    The fixed-rule paths rely on t_i m lying a whole number of intervals
+    from node i whatever i is, so a node more than 1e-9 h away from
+    ln t_0 + i h raises ValueError.
+    """
+    h = (lnt[-1] - lnt[0]) / (lnt.size - 1)
+    if np.max(np.abs(lnt - lnt[0] - h * np.arange(lnt.size))) > 1e-9 * h:
+        raise ValueError("the grid must be uniform in ln t")
+    return h
+
+
+def _interval_offset(mult: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whole grid steps s = floor(ln m / h) of each multiplier m and the
+    remainder ln m / h - s in [0, 1)."""
+    u = np.log(mult) / h
+    s = np.floor(u)
+    return s.astype(np.intp), u - s
+
+
+def _outer_evaluator(grid: GridFunction):
+    """phi(t_i m_k) at every node t_i and positive multiplier m_k, as an
+    array of shape (nodes, multipliers).
+
+    On the grid uniform in ln t, t_i m lies in spline interval
+    j = i + s with s = floor(ln m / h), at dx = ln t_i + ln m - ln t_j =
+    ln m - s h from the interval's left end, whatever i is.  So each
+    multiplier evaluates every interval at its one offset dx, as a product
+    with a table of coefficients, and reads the nodes' values as that row
+    shifted by s: no log of the products and no interval search.  The
+    table continues the grid below t_min with intervals j < 0 of the same
+    width, on which the series head at t_j e^dx = t_i m is taken, and
+    above t_max with the clamp, as in :func:`_evaluator`.
+    """
+    t = grid.t
+    n = t.size
+    lnt = np.log(t)
+    h = _log_step(lnt)
+    # tab[:, n + j] is interval j, for j in [-n, 2n), as the coefficients of
+    # (dx^3, dx^2, dx, 1, e^dx, e^2dx, e^3dx, e^4dx): the spline's cubic in
+    # the grid, the series head c_p (t_j e^dx)^p below it, the clamp above
+    tab = np.zeros((8, 3 * n))
+    tab[:4, n : 2 * n - 1] = CubicSpline(lnt, grid.phi).c
+    tab[3, 2 * n - 1 :] = grid.phi[-1]
+    t_below = np.exp(lnt[0] + h * np.arange(-n, 0))
+    tab[3:, :n] = (np.power.outer(t_below, np.arange(5)) * grid.series).T
+
+    def ev(mult: np.ndarray) -> np.ndarray:
+        s, frac = _interval_offset(mult, h)
+        # beyond n steps every node is head or clamp; dx grows to match
+        shift = np.clip(s, -n, n)
+        dx = (frac + (s - shift)) * h
+        lo, hi = shift.min(initial=0), shift.max(initial=0)
+        powers = np.power.outer(dx, np.arange(3, -1, -1))
+        exps = np.power.outer(np.exp(dx), np.arange(1, 5))
+        # vals[k, j - lo]: interval j at multiplier k, for the intervals
+        # lo .. hi + n - 1 that some multiplier reaches
+        vals = np.hstack([powers, exps]) @ tab[:, n + lo : 2 * n + hi]
+        return sliding_window_view(vals, n, axis=1)[np.arange(mult.size), shift - lo].T
+
+    return ev
+
+
 def grid_eval(grid: GridFunction, args) -> np.ndarray:
     """Evaluate the grid function at positive arguments."""
     a = np.atleast_1d(np.asarray(args, dtype=float))
@@ -238,10 +311,8 @@ def iterate_phi(
         b_pow = (1.0 - s2) ** q
         t_n = (a_pow + b_pow) @ w
         a_arg, b_arg = a_pow / t_n, b_pow / t_n
-        ev = _evaluator(GridFunction(t=t, phi=phi, series=series))
-        fa = ev(np.multiply.outer(t, a_arg))
-        fb = ev(np.multiply.outer(t, b_arg))
-        new = (fa * fb) @ w
+        ev = _outer_evaluator(GridFunction(t=t, phi=phi, series=series))
+        new = (ev(a_arg) * ev(b_arg)) @ w
         phi, dist = _isotonic(new)
         # the projection distance is a contract, not a crutch
         if dist > 1e-9:
@@ -347,11 +418,10 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     ker = _kernel(q)
     t = grid.t
     h = math.log(t[1] / t[0])
-    ev = _evaluator(grid)
+    ev = _outer_evaluator(grid)
     tphip = _dlog_derivative(grid.phi, h)
-    fa = ev(np.multiply.outer(t, ker.sin_pow))
-    fb = ev(np.multiply.outer(t, ker.cos_pow))
-    main = ((fa * fb - grid.phi[:, None]) * ker.inv_s2c2[None, :]) @ ker.weights
+    fab = ev(ker.sin_pow) * ev(ker.cos_pow)
+    main = ((fab - grid.phi[:, None]) * ker.inv_s2c2[None, :]) @ ker.weights
     m2 = 2.0 * grid.series[2]
     small = ker.small_part(t, grid.phi, tphip, m2)
     return analytics.T_of_q(q) * tphip + 0.5 * (main + small)
@@ -394,12 +464,13 @@ def _banded_preconditioner(
     replaced by linear interpolation in ln t and entries more than _BAND
     nodes off the diagonal dropped.  On the log-uniform grid the argument
     t_i c_k lies ln(c_k)/h nodes from node i whatever i is, so the
-    interpolation slots and weights depend on the angle node alone.
+    interpolation slots and weights depend on the angle node alone; a grid
+    that is not uniform in ln t raises ValueError.
     """
     ker = _kernel(q)
-    h = math.log(grid.t[1] / grid.t[0])
+    h = _log_step(np.log(grid.t))
     tf = grid.t[fidx]
-    ev = _evaluator(grid)
+    ev = _outer_evaluator(grid)
     coef = 0.5 * ker.weights * ker.inv_s2c2
     stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
     dcoef = analytics.T_of_q(q) + 0.5 * q * (tf * ker.g_cross - ker.g_adv)
@@ -411,14 +482,13 @@ def _banded_preconditioner(
     # per side: the angle nodes whose argument lands within the band, with
     # their weights on offsets -_BAND.._BAND, times the other factor
     for own, other in ((ker.sin_pow, ker.cos_pow), (ker.cos_pow, ker.sin_pow)):
-        u = np.log(own) / h
-        lo = np.floor(u).astype(int)
+        lo, frac = _interval_offset(own, h)
         w = np.zeros((own.size, 2 * _BAND + 1))
-        for off, share in ((lo, lo + 1 - u), (lo + 1, u - lo)):
+        for off, share in ((lo, 1.0 - frac), (lo + 1, frac)):
             k = np.where(np.abs(off) <= _BAND)[0]
             w[k, off[k] + _BAND] += coef[k] * share[k]
         keep = np.any(w != 0.0, axis=1)
-        rows += ev(np.multiply.outer(tf, other[keep])) @ w[keep]
+        rows += ev(other[keep])[fidx] @ w[keep]
     # solve_banded reads J[i, i + d] at ab[_BAND - d, i + d]; columns i + d
     # outside the free nodes are frozen values and are dropped
     m = fidx.size

@@ -102,7 +102,9 @@ def symmetric_eig(matrix: np.ndarray):
         raise ValueError("input must be square")
     if not np.all(np.isfinite(h)):
         raise ValueError("input must be finite")
-    if not np.allclose(h, h.T, atol=1e-12 * max(1.0, np.abs(h).max())):
+    # rtol=0: numpy's default rtol of 1e-5 would pass asymmetries of 1e-6
+    # that eigh then resolves by reading one triangle
+    if not np.allclose(h, h.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(h).max())):
         raise ValueError("input must be symmetric")
     w, v = linalg.eigh(h)
     n = h.shape[0]

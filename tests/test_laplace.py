@@ -199,9 +199,67 @@ def test_failed_solve_is_a_contract_violation(grid, monkeypatch):
         la.refine_stationary(0.75, grid)
 
 
+# below t_min (the series head), the top node, above t_max (the clamp) and
+# both kernel factors
+def _multipliers():
+    ker = la._kernel(0.75)
+    return {
+        "head": np.geomspace(1e-9, 1.0, 60),
+        "top": np.array([1.0]),
+        "clamp": np.array([1.0 + 1e-12, 1.01, 1.3, 1.7, 2.0]),
+        "sin": ker.sin_pow,
+        "cos": ker.cos_pow,
+    }
+
+
+@pytest.fixture(scope="module")
+def exponential_grid():
+    # two steps leave phi(t_max) at 2.3e-6, against 1e-300 from the delta
+    # start, so a wrong clamp shows
+    return la.iterate_phi(0.75, 0.5, 1, 3, la.make_grid("exponential"))
+
+
+@pytest.mark.parametrize("start", ["delta", "exponential"])
+@pytest.mark.parametrize("name", ["head", "top", "clamp", "sin", "cos"])
+def test_outer_evaluator_matches_the_generic_one(grid, exponential_grid, start, name):
+    g = grid if start == "delta" else exponential_grid
+    m = _multipliers()[name]
+    got = la._outer_evaluator(g)(m)
+    want = la._evaluator(g)(np.multiply.outer(g.t, m))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_off_log_grid_is_rejected():
+    g = la.make_grid()
+    t = g.t.copy()
+    t[200] *= 1.0 + 1e-6  # 2.5e-5 of a grid step
+    g = replace(g, t=t)
+    with pytest.raises(ValueError, match="uniform in ln t"):
+        la._outer_evaluator(g)
+    free = np.arange(50, 300)
+    with pytest.raises(ValueError, match="uniform in ln t"):
+        la._banded_preconditioner(0.75, g, free)
+
+
+def test_oracle_does_not_use_the_outer_evaluator(grid, monkeypatch):
+    def broken(g):
+        raise AssertionError("outer evaluator called")
+
+    monkeypatch.setattr(la, "_outer_evaluator", broken)
+    assert abs(la.stationary_residual(0.75, grid, 1.0)) < 1e-2
+    assert la.grid_eval(grid, [0.1, 1.0, 10.0]).shape == (3,)
+    with pytest.raises(AssertionError, match="outer evaluator called"):
+        la.iterate_phi(0.75, 0.5, 1, 2, la.make_grid())
+    with pytest.raises(AssertionError, match="outer evaluator called"):
+        la._residual_grid(0.75, grid)
+
+
 @pytest.mark.parametrize("init", ["delta", "exponential"])
 def test_fresh_grids_pass_the_invariants(init):
-    la.make_grid(init).check_invariants()
+    g = la.make_grid(init)
+    g.check_invariants()
+    la._log_step(np.log(g.t))  # the fixed-rule paths need a log-uniform grid
 
 
 def _perturbed(edit):

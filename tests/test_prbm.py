@@ -85,6 +85,12 @@ class TestSymmetricEig:
         with pytest.raises(ValueError):
             prbm.symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_asymmetry_below_the_default_rtol(self):
+        # off by 1e-6 relative: within np.allclose's default rtol of 1e-5,
+        # so it used to pass the check and fail the reconstruction contract
+        with pytest.raises(ValueError, match="input must be symmetric"):
+            prbm.symmetric_eig(np.array([[2.0, 1.0], [1.000001, 3.0]]))
+
     def test_runs_on_numpys_lapack(self):
         # scipy.linalg.eigh runs on scipy's own OpenBLAS, whose thread pool
         # contends with numpy's, which runs the contract products: on a

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_QUAD_TOL = 1e-10  # absolute and relative, of T_quadrature's two integrals
 
 
 class _Unbounded:
@@ -80,7 +81,7 @@ def T_of_q(q: float) -> float:
     return 0.5 * _SQRT_PI * sign * math.exp(gammaln(q - 0.5) - gammaln(q - 1.0))
 
 
-def T_quadrature(q: float, *, tol: float = 1e-10) -> float:
+def T_quadrature(q: float) -> float:
     """Evaluate T(q) by adaptive quadrature of its defining integral.
 
     Independent route used to validate :func:`T_of_q`; the integrand has
@@ -107,7 +108,7 @@ def T_quadrature(q: float, *, tol: float = 1e-10) -> float:
         return (math.sin(t) / t) ** (2.0 * q - 2.0) / math.cos(t) ** 2
 
     a, _ = integrate.quad(
-        regular, 0.0, 0.25 * math.pi, epsabs=tol, epsrel=tol, limit=200
+        regular, 0.0, 0.25 * math.pi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200
     )
     b, _ = integrate.quad(
         singular_cofactor,
@@ -115,8 +116,8 @@ def T_quadrature(q: float, *, tol: float = 1e-10) -> float:
         0.25 * math.pi,
         weight="alg",
         wvar=(2.0 * q - 2.0, 0.0),
-        epsabs=tol,
-        epsrel=tol,
+        epsabs=_QUAD_TOL,
+        epsrel=_QUAD_TOL,
         limit=200,
     )
     return 0.5 * (a - b)

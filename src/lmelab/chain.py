@@ -81,6 +81,8 @@ def _check_a(a: float) -> None:
 
 
 def _check_n_max(N: int, n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > N // 2:
         raise ValueError(f"n_max must not exceed N/2 = {N // 2}, got {n_max}")
 
@@ -101,6 +103,8 @@ class RgParams:
         _check_n_max(self.N, self.n_max)
         if not self.b > 0:
             raise ValueError("b must be positive")
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be at least 1, got {self.replicas}")
 
 
 @dataclass

@@ -24,14 +24,15 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
   route (``refine=False``).  The one Newton solve is preconditioned by a
   banded approximation of the Jacobian at its starting grid: the
   derivative stencil and the diagonal exactly, the kernel integral with
-  the spline replaced by linear interpolation and cut to seven diagonals.
-  The residual and its Jacobian products stay exact, so the
-  preconditioner changes the number of iterations, not the equation
-  solved.
+  the spline replaced by linear interpolation and cut to seven diagonals,
+  which only the cos factor reaches.  The residual and its Jacobian
+  products stay exact, so the preconditioner changes the number of
+  iterations, not the equation solved.
 
 The stationary residual has an integrable endpoint singularity whose naive
 quadrature amplifies float cancellation by 1/theta^2; all evaluators here
-switch to a four-term analytic expansion below theta = 1e-3.
+switch to a four-term analytic expansion below theta = 1e-3, integrated in
+closed form.
 
 Grid representation: values on a logarithmic t-grid, C^2 cubic spline in
 ln t between nodes, truncated alternating moment series below t_min, and a
@@ -58,8 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
-from scipy.optimize import newton_krylov
-from scipy.optimize._nonlin import NoConvergence
+from scipy.optimize import NoConvergence, newton_krylov
 from scipy.sparse.linalg import LinearOperator
 
 from . import analytics, theta
@@ -85,13 +85,9 @@ _SERIES_FIT_T_MAX = 0.8
 _SOLVE_T_MAX = 120.0
 # Half-bandwidth, in grid nodes, of the stationary solve's preconditioner.
 _BAND = 3
-# Pinned series fits per collar rebuild in refine_stationary.  The fit
-# window t <= _SERIES_FIT_T_MAX also holds the collar's own stale values,
-# and each refit shrinks their inconsistency about 1e5-fold: after one
-# refit the fit of the refined grid misses its series head by up to 5.7e-5
-# (c4; q = 0.9, exponential start), after two by 5.5e-10 and after three
-# by at most 4.1e-15.
-_COLLAR_REFITS = 3
+# refine_stationary's collar t <= _COLLAR_T_MAX carries the pinned series
+# fitted over _COLLAR_T_MAX < t <= _SERIES_FIT_T_MAX.
+_COLLAR_T_MAX = 4e-3
 # Fixed relative tolerance of each preconditioned inner LGMRES solve.
 # scipy's default forcing term min(1e-3, 1e-3 ||F||) shrinks with the
 # residual, so the last Newton steps ran their whole inner budget: a fixed
@@ -331,51 +327,34 @@ def iterate_phi(
     return GridFunction(t=t, phi=phi, series=series)
 
 
+def _small_angle_integral(p: float, e: float) -> float:
+    """int_0^theta_switch x^p (sin x / x)^e / cos^2 x dx for p > -1, term by
+    term over 1 + (1 - e/6) x^2 + (2/3 - e/6 + e^2/72 - e/180) x^4; the
+    dropped terms are below 1e-17 relative at theta_switch = 1e-3."""
+    c2 = 1.0 - e / 6.0
+    c4 = 2.0 / 3.0 - e / 6.0 + e * e / 72.0 - e / 180.0
+    x2 = _THETA_SWITCH**2
+    return _THETA_SWITCH ** (p + 1.0) * (
+        1.0 / (p + 1.0) + x2 * (c2 / (p + 3.0) + x2 * c4 / (p + 5.0))
+    )
+
+
 class _KernelPieces:
     """Per-q quadrature data for the stationary operator.
 
     Main region [theta_switch, pi/4]: :func:`theta.gauss_panels` on the raw
     integrand.  Below theta_switch the integrand is replaced by its
-    analytic expansion; the four theta-integrals (one endpoint-singular)
-    are precomputed here.
+    analytic expansion; its four theta-integrals (one endpoint-singular)
+    are taken in closed form by :func:`_small_angle_integral`.
     """
 
     def __init__(self, q: float):
         self.q = q
         a = 2.0 * q - 2.0
-        quad = integrate.quad
-        self.g_sing = quad(
-            lambda x: (math.sin(x) / x) ** a / math.cos(x) ** 2 if x > 0 else 1.0,
-            0.0,
-            _THETA_SWITCH,
-            weight="alg",
-            wvar=(a, 0.0),
-            epsabs=1e-16,
-            epsrel=1e-13,
-        )[0]
-        self.g_adv = quad(
-            lambda x: x * x / (math.sin(x) ** 2 * math.cos(x) ** 2) if x > 0 else 1.0,
-            0.0,
-            _THETA_SWITCH,
-            epsabs=1e-16,
-            epsrel=1e-13,
-        )[0]
-        self.g_cross = quad(
-            lambda x: x * x * (math.sin(x) / x) ** a / math.cos(x) ** 2 if x > 0 else 0.0,
-            0.0,
-            _THETA_SWITCH,
-            weight="alg",
-            wvar=(a, 0.0),
-            epsabs=1e-16,
-            epsrel=1e-13,
-        )[0]
-        self.g_quad = quad(
-            lambda x: math.sin(x) ** (4.0 * q - 2.0) / math.cos(x) ** 2,
-            0.0,
-            _THETA_SWITCH,
-            epsabs=1e-16,
-            epsrel=1e-13,
-        )[0]
+        self.g_sing = _small_angle_integral(a, a)
+        self.g_adv = _small_angle_integral(0.0, -2.0)
+        self.g_cross = _small_angle_integral(a + 2.0, a)
+        self.g_quad = _small_angle_integral(2.0 * a + 2.0, 2.0 * a + 2.0)
         th, self.weights = theta.gauss_panels([_THETA_SWITCH], 32)
         s2 = np.sin(th) ** 2
         self.sin_pow = s2**q
@@ -417,7 +396,7 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     """Stationary residual at every grid node (fixed-rule evaluation)."""
     ker = _kernel(q)
     t = grid.t
-    h = math.log(t[1] / t[0])
+    h = _log_step(np.log(t))
     ev = _outer_evaluator(grid)
     tphip = _dlog_derivative(grid.phi, h)
     fab = ev(ker.sin_pow) * ev(ker.cos_pow)
@@ -427,12 +406,14 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     return analytics.T_of_q(q) * tphip + 0.5 * (main + small)
 
 
-def _small_t_fit(grid: GridFunction, head: tuple[float, ...]) -> tuple[np.ndarray, float]:
+def _small_t_fit(
+    grid: GridFunction, head: tuple[float, ...], t_above: float = 0.0
+) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of t^len(head) .. t^7 in
-    phi(t) - sum_k head[k] t^k over t <= _SERIES_FIT_T_MAX, and the largest
-    fit residual."""
+    phi(t) - sum_k head[k] t^k over t_above < t <= _SERIES_FIT_T_MAX, and
+    the largest fit residual."""
     t, phi = grid.t, grid.phi
-    mask = t <= _SERIES_FIT_T_MAX
+    mask = (t > t_above) & (t <= _SERIES_FIT_T_MAX)
     tm = t[mask]
     y = phi[mask]
     for k, c in enumerate(head):
@@ -444,9 +425,10 @@ def _small_t_fit(grid: GridFunction, head: tuple[float, ...]) -> tuple[np.ndarra
     return c, float(np.max(np.abs(a @ c - y)))
 
 
-def _fit_series_pinned(grid: GridFunction):
-    """Series coefficients with the mean pinned at one (scale anchor)."""
-    c, _ = _small_t_fit(grid, (1.0, -1.0))
+def _fit_series_pinned(grid: GridFunction, t_above: float = 0.0):
+    """Series coefficients with the mean pinned at one (scale anchor),
+    fitted over t_above < t <= _SERIES_FIT_T_MAX."""
+    c, _ = _small_t_fit(grid, (1.0, -1.0), t_above)
     return (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
 
 
@@ -466,6 +448,12 @@ def _banded_preconditioner(
     t_i c_k lies ln(c_k)/h nodes from node i whatever i is, so the
     interpolation slots and weights depend on the angle node alone; a grid
     that is not uniform in ln t raises ValueError.
+
+    Only the cos side enters: sin^{2q}u <= 2^{-q} puts every sin-side
+    argument q ln 2 / h > _BAND + 1 nodes below its node on
+    :func:`make_grid`'s grid for every q in (1/2, 1).  On a coarser grid
+    dropping that side only weakens the preconditioner: it may cost more
+    residual evaluations, but the equation solved does not change.
     """
     ker = _kernel(q)
     h = _log_step(np.log(grid.t))
@@ -479,16 +467,15 @@ def _banded_preconditioner(
     rows[:, _BAND - 2 : _BAND + 3] = dcoef[:, None] * stencil
     rows[:, _BAND] -= np.sum(coef) + 0.5 * tf * ker.g_sing
     rows[:, _BAND] += grid.series[2] * 0.5 * tf * tf * ker.g_quad
-    # per side: the angle nodes whose argument lands within the band, with
-    # their weights on offsets -_BAND.._BAND, times the other factor
-    for own, other in ((ker.sin_pow, ker.cos_pow), (ker.cos_pow, ker.sin_pow)):
-        lo, frac = _interval_offset(own, h)
-        w = np.zeros((own.size, 2 * _BAND + 1))
-        for off, share in ((lo, 1.0 - frac), (lo + 1, frac)):
-            k = np.where(np.abs(off) <= _BAND)[0]
-            w[k, off[k] + _BAND] += coef[k] * share[k]
-        keep = np.any(w != 0.0, axis=1)
-        rows += ev(other[keep])[fidx] @ w[keep]
+    # the angle nodes whose cos-side argument lands within the band, with
+    # their weights on offsets -_BAND.._BAND, times the sin factor
+    lo, frac = _interval_offset(ker.cos_pow, h)
+    w = np.zeros((lo.size, 2 * _BAND + 1))
+    for off, share in ((lo, 1.0 - frac), (lo + 1, frac)):
+        k = np.where(np.abs(off) <= _BAND)[0]
+        w[k, off[k] + _BAND] += coef[k] * share[k]
+    keep = np.any(w != 0.0, axis=1)
+    rows += ev(ker.sin_pow[keep])[fidx] @ w[keep]
     # solve_banded reads J[i, i + d] at ab[_BAND - d, i + d]; columns i + d
     # outside the free nodes are frozen values and are dropped
     m = fidx.size
@@ -503,13 +490,12 @@ def _banded_preconditioner(
 
 def _set_collar(grid: GridFunction, collar: np.ndarray) -> GridFunction:
     """The grid with its collar nodes and series head set to the pinned
-    series fit, refitted _COLLAR_REFITS times."""
+    series fit, from the window's nodes above the collar."""
+    series = _fit_series_pinned(grid, _COLLAR_T_MAX)
+    c0, c1, c2, c3, c4 = series
     phi = grid.phi.copy()
     x = grid.t[collar]
-    for _ in range(_COLLAR_REFITS):
-        series = _fit_series_pinned(replace(grid, phi=phi))
-        c0, c1, c2, c3, c4 = series
-        phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+    phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
     return GridFunction(t=grid.t, phi=phi, series=series)
 
 
@@ -522,10 +508,10 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     mode (t -> ct reparametrizations) is pinned by anchoring the collar
     t <= 4e-3 to a mean-one series fitted from the grid itself; the
     objective of the one Newton solve rebuilds the collar and the series
-    head from the free values (:func:`_set_collar`) before each residual
-    evaluation, so the solution is self-consistent.  Nodes beyond t = 120
-    carry no weight in the kernel below t = 60 and are rebuilt as a
-    log-linear decay continuation.
+    head from the free values (:func:`_set_collar`, one fit over
+    4e-3 < t <= 0.8) before each residual evaluation, so the solution is
+    self-consistent.  Nodes beyond t = 120 carry no weight in the kernel
+    below t = 60 and are rebuilt as a log-linear decay continuation.
 
     The solve is preconditioned by :func:`_banded_preconditioner`, built
     once from the starting grid: the derivative stencil and the diagonal
@@ -538,7 +524,7 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     """
     _check_q(q)
     t = grid.t
-    collar = t <= 4e-3
+    collar = t <= _COLLAR_T_MAX
     free = (~collar) & (t <= _SOLVE_T_MAX)
     fidx = np.where(free)[0]
     start = _set_collar(grid, collar)

@@ -39,6 +39,7 @@ __all__ = [
 
 _QUARTER_PI = 0.25 * math.pi
 
+_PAIR_RTOL = 1e-10  # fixed: the pair_integral cache is keyed by (q, j, m)
 _pair_cache: dict[tuple[float, int, int], float] = {}
 
 
@@ -64,7 +65,7 @@ class FactorialBound:
     checked_upto: int
 
 
-def pair_integral(q: float, j: int, m: int, *, tol: float = 1e-10) -> float:
+def pair_integral(q: float, j: int, m: int) -> float:
     """I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} cos^{2qm-2}.
 
     The sin power 2qj-2 may dip to -1 (exclusive); the algebraic endpoint
@@ -95,7 +96,7 @@ def pair_integral(q: float, j: int, m: int, *, tol: float = 1e-10) -> float:
         weight="alg",
         wvar=(a, 0.0),
         epsabs=0.0,
-        epsrel=tol,
+        epsrel=_PAIR_RTOL,
         limit=200,
     )
     out = 0.5 * val

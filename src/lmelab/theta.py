@@ -187,7 +187,7 @@ def gauss_panels(
     return nodes.ravel(), (w * half).ravel()
 
 
-def folded_rule(law: ThetaLaw, nodes_per_panel: int = 32):
+def folded_rule(law: ThetaLaw, nodes_per_panel: int):
     """Fixed Gauss-Legendre rule for E[f] with f even in theta.
 
     Returns (theta_nodes, weights) on [0, pi/4] with the density folded in

@@ -216,6 +216,13 @@ class TestRunFlow:
         with pytest.raises(ValueError):
             ch.RgParams(N=64, b=0.3, n_max=40)
 
+    @pytest.mark.parametrize("field", ["n_max", "replicas"])
+    def test_empty_flow_is_rejected(self, field):
+        # run_flow would average over no scale or no replica and return NaNs
+        kwargs = {"N": 64, "b": 0.3, "n_max": 8, field: 0}
+        with pytest.raises(ValueError, match=field):
+            ch.RgParams(**kwargs)
+
 
 class TestReplayOracle:
     def test_log_replays_against_2x2_eigh(self, monkeypatch):

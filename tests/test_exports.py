@@ -1,5 +1,6 @@
-"""Every name a module exports exists, every name it imports is used, and
-every cross-reference in its docstrings resolves."""
+"""Every name a module exports exists, every name it imports is used and
+public in its package, and every cross-reference in its docstrings
+resolves."""
 
 import ast
 import importlib
@@ -38,6 +39,40 @@ def test_no_unused_imports(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = _imported_names(tree) - used - set(getattr(module, "__all__", ()))
     assert not unused
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Dotted paths that a module imports from another package through a
+    _-prefixed (private) module or name."""
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths += [f"{node.module}.{a.name}" for a in node.names]
+    parts = [p.split(".") for p in paths]
+    return [
+        ".".join(p) for p in parts
+        if p[0] not in ("__future__", "lmelab") and any(x.startswith("_") for x in p)
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_imports(name):
+    module = importlib.import_module(f"lmelab.{name}")
+    assert not _private_imports(ast.parse(inspect.getsource(module)))
+
+
+def test_private_import_gate_flags_private_paths():
+    assert _private_imports(ast.parse("from scipy.optimize._nonlin import NoConvergence"))
+    assert _private_imports(ast.parse("import scipy.special._ufuncs"))
+    assert _private_imports(ast.parse("from scipy.optimize import _nonlin"))
+    assert not _private_imports(ast.parse(
+        "from __future__ import annotations\n"
+        "from scipy.optimize import NoConvergence\n"
+        "from . import _private_sibling\n"
+        "from lmelab.laplace import _kernel\n"
+    ))
 
 
 # Sphinx roles the docstrings use to name code: :func:`x`, :mod:`a.b`, ...

@@ -2,9 +2,10 @@
 
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize._nonlin import NoConvergence
+from scipy.optimize import NoConvergence
 
 from lmelab import engine as en
 from lmelab import harness
@@ -197,6 +198,47 @@ def test_failed_solve_is_a_contract_violation(grid, monkeypatch):
     monkeypatch.setattr(la, "newton_krylov", no_convergence)
     with pytest.raises(ContractViolation, match="stationary solve failed"):
         la.refine_stationary(0.75, grid)
+
+
+def _small_angle_mp(p, e):
+    """int_0^theta_s x^p g(x) dx with g(x) = (sin x / x)^e / cos^2 x, as
+    theta_s^{p+1}/(p+1) int_0^1 g(theta_s s^{1/(p+1)}) ds: the substitution
+    s = (x / theta_s)^{p+1} moves the x^p endpoint singularity into the
+    measure, where a plain mp.quad of x^{2q-2} misses by 15% at q = 0.51."""
+    th = mp.mpf(la._THETA_SWITCH)
+
+    def g(x):
+        return (mp.sin(x) / x) ** e / mp.cos(x) ** 2
+
+    return th ** (p + 1) / (p + 1) * mp.quad(lambda s: g(th * s ** (1 / (p + 1))), [0, 1])
+
+
+@pytest.mark.parametrize("q", [0.501, 0.51, 0.6, 0.75, 0.9, 0.99, 0.999])
+def test_small_angle_constants_match_mpmath(q):
+    # the closed-form series agree to 1.7e-15; adaptive QUADPACK was off by
+    # 2.4e-12 (g_quad, q = 0.9) and 9.3e-12 (q = 0.99)
+    ker = la._kernel(q)
+    with mp.workdps(30):
+        a = 2 * mp.mpf(q) - 2
+        exponents = {
+            "g_sing": (a, a),
+            "g_adv": (0, -2),
+            "g_cross": (a + 2, a),
+            "g_quad": (2 * a + 2, 2 * a + 2),
+        }
+        for name, (p, e) in exponents.items():
+            ref = _small_angle_mp(mp.mpf(p), mp.mpf(e))
+            assert abs(getattr(ker, name) - ref) / ref <= 1e-14, name
+
+
+@pytest.mark.parametrize("q", [0.5 + 1e-6, 0.75, 0.999])
+def test_sin_side_arguments_lie_below_the_band(q):
+    # _banded_preconditioner linearizes only the cos factor: on make_grid's
+    # grid t_i sin^{2q}u interpolates between nodes s and s + 1 steps from
+    # node i with s < -(_BAND + 1), so the sin factor never reaches the band
+    h = la._log_step(np.log(la.make_grid().t))
+    s, _ = la._interval_offset(la._kernel(q).sin_pow, h)
+    assert s.max() < -(la._BAND + 1)
 
 
 # below t_min (the series head), the top node, above t_max (the clamp) and

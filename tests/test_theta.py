@@ -185,7 +185,7 @@ class TestFoldedRule:
     @pytest.mark.parametrize("eps", [2.0, 0.3, 1e-2, 1e-4, 5e-6])
     def test_normalization_and_even_moments(self, eps):
         law = th.ThetaLaw(eps)
-        nodes, w = th.folded_rule(law)
+        nodes, w = th.folded_rule(law, 32)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
         ref = th.expect_theta(law, lambda t: math.cos(t) ** 2, tol=1e-13)
         assert np.cos(nodes) ** 2 @ w == pytest.approx(ref, abs=1e-11)

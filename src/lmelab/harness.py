@@ -10,7 +10,7 @@ point's own default wherever it has one.
 
 from __future__ import annotations
 
-from . import brw, chain, engine, laplace, prbm, streams
+from . import analytics, brw, chain, engine, laplace, prbm, streams
 from .errors import ConfigError
 
 __all__ = ["SCHEMAS", "parse_config"]
@@ -33,19 +33,9 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _positive_q(value: float) -> float:
-    if not value > 0.5:
-        raise ConfigError(f"q must exceed 1/2, got {value}")
-    return value
-
-
-def _positive(name):
-    def check(value):
-        if not value > 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-        return value
-
-    return check
+def _positive(value) -> None:
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value}")
 
 
 def _checked(key, *checks):
@@ -69,40 +59,40 @@ _SEED = _checked("seed", streams._check_seed)
 
 SCHEMAS: dict[str, dict] = {
     "simulate-lme": {
-        "q": (float, _REQUIRED, _positive_q),
-        "b": (float, _REQUIRED, _positive("b")),
-        "n_max": (int, 10_000, _positive("n_max")),
+        "q": (float, _REQUIRED, _checked("q", analytics._check_q)),
+        "b": (float, _REQUIRED, _checked("b", _positive)),
+        "n_max": (int, 10_000, _checked("n_max", _positive)),
         "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
         "seed": (int, 0, _SEED),
         "track_powers": (_float_list, (2.0, 3.0), None),
     },
     "laplace": {
         "q": (float, 0.75, _checked("q", laplace._check_q)),
-        "b": (float, 0.5, _positive("b")),
+        "b": (float, 0.5, _checked("b", _positive)),
         "init": (str, "delta", _checked("init", laplace._check_init)),
         # scales of the recursion-only route (refine = false); with refine
-        # the stationary solve starts from at most laplace._WARM_START
-        # scales, since its solution does not depend on the start
-        "n_schedule": (int, 4000, _positive("n_schedule")),
+        # the stationary solve starts from one recursion step, since its
+        # solution does not depend on the start
+        "n_schedule": (int, 4000, _checked("n_schedule", _positive)),
         "refine": (_bool, True, None),
     },
     "brw": {
         "mode": (str, "cascade", _checked("mode", brw._check_mode)),
         # read by the cascade alone: derivative runs at brw.BETA_C and max
         # takes no beta, yet every mode accepts the key
-        "beta": (float, 0.8326, _positive("beta")),
+        "beta": (float, 0.8326, _checked("beta", _positive)),
         "depth": (int, 40, _checked("depth", brw._check_depth)),
         "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),
         "seed": (int, 0, _SEED),
     },
     "rg-chain": {
         "N": (int, 4096, _checked("N", chain._check_size)),
-        "b": (float, 0.3, _positive("b")),
+        "b": (float, 0.3, _checked("b", _positive)),
         "a": (float, 0.4, _checked("a", chain._check_a)),
-        "n_max": (int, 100, _positive("n_max")),
+        "n_max": (int, 100, _checked("n_max", _positive)),
         "q_list": (_float_list, (0.75, 2.0), None),
         "seed": (int, 0, _SEED),
-        "replicas": (int, 1, _positive("replicas")),
+        "replicas": (int, 1, _checked("replicas", _positive)),
     },
     "prbm": {
         "N_list": (
@@ -110,9 +100,9 @@ SCHEMAS: dict[str, dict] = {
             (256, 512, 1024, 2048),
             _checked("N_list", prbm._check_sizes, prbm._check_fit_sizes),
         ),
-        "b": (float, 0.1, _positive("b")),
-        "q": (float, 2.0, _positive("q")),
-        "realizations": (int, 20, _positive("realizations")),
+        "b": (float, 0.1, _checked("b", _positive)),
+        "q": (float, 2.0, _checked("q", _positive)),
+        "realizations": (int, 20, _checked("realizations", _positive)),
         "seed": (int, 0, _SEED),
     },
 }

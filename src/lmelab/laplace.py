@@ -19,15 +19,15 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
 * :func:`refine_stationary` solves the stationary equation directly
   (Newton-Krylov on the grid residual), which removes the finite-scale bias
   floor.  Its solution does not depend on the initial guess, so
-  :func:`converge_grid` starts it from a short fixed recursion (at most
-  _WARM_START scales) and lets ``n_schedule`` size only the recursion-only
-  route (``refine=False``).  The one Newton solve is preconditioned by a
-  banded approximation of the Jacobian at its starting grid: the
-  derivative stencil and the diagonal exactly, the kernel integral with
-  the spline replaced by linear interpolation and cut to seven diagonals,
-  which only the cos factor reaches.  The residual and its Jacobian
-  products stay exact, so the preconditioner changes the number of
-  iterations, not the equation solved.
+  :func:`converge_grid` starts it from one recursion step and lets
+  ``n_schedule`` size only the recursion-only route (``refine=False``).
+  The one Newton solve is preconditioned by a banded approximation of the
+  Jacobian at its starting grid: the derivative stencil and the diagonal
+  exactly, the kernel integral with the spline replaced by linear
+  interpolation and cut to seven diagonals, which only the cos factor
+  reaches.  The residual and its Jacobian products stay exact, so the
+  preconditioner changes the number of iterations, not the equation
+  solved.
 
 The stationary residual has an integrable endpoint singularity whose naive
 quadrature amplifies float cancellation by 1/theta^2; all evaluators here
@@ -95,21 +95,6 @@ _COLLAR_T_MAX = 4e-3
 # n_schedule=1000) from 24 to 20 at q = 0.75, 50 to 16 at q = 0.6 and 32 to
 # 26 at q = 0.9, moving refined phi by at most 6.2e-13.
 _INNER_RTOL = 1e-3
-# Recursion scales run before the stationary solve in converge_grid (the
-# recursion from n = 1 to _WARM_START); at least 2, so one step runs: the
-# steps are the laplace route's only theta.folded_rule calls
-# (refine_stationary makes none), and benchmarks/tests'
-# test_traced_layers_are_exercised requires theta.folded_rule.calls > 0 on
-# laplace.  The solve's answer does not depend on its start: against a
-# 1000-step start at b = 0.5, 32 scales move refined phi by at most 5.8e-13
-# (q = 0.75, delta), 2.8e-13 (q = 0.9, delta) and 1.1e-11 (q = 0.9,
-# exponential), leave the probe residuals within 3e-13, and take 20 residual
-# evaluations against 23 at q = 0.75 (31 against 23 at q = 0.9,
-# exponential).  The 968 recursion steps it skips took 1.2 s of
-# converge_grid(0.75, 0.5, n_schedule=1000) (0.073 s against 1.25 s, medians
-# of three, 2-core Xeon host).  Starting from the initial law alone costs up
-# to 38 evaluations (q = 0.9, exponential).
-_WARM_START = 32
 
 
 @dataclass(frozen=True)
@@ -520,7 +505,7 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     diagonal.  The residual, its finite-difference Jacobian products and
     the f_tol 1e-11 stopping rule are those of the unpreconditioned solve;
     the preconditioner and a fixed inner tolerance of 1e-3 bring the
-    residual evaluations at q = 0.75 after a 32-scale warm start to 20.
+    residual evaluations at q = 0.75 after one recursion step to 20.
     """
     _check_q(q)
     t = grid.t
@@ -651,14 +636,16 @@ def converge_grid(
 ) -> GridFunction:
     """The production path to the limiting transform.
 
-    With ``refine`` the stationary solve starts from the recursion run from
-    n = 1 to min(``n_schedule``, _WARM_START): its solution does not depend
-    on where it starts, so a longer schedule would buy nothing.  Without
-    ``refine`` the result is the finite-scale recursion run from n = 1 to
-    ``n_schedule``.
+    With ``refine`` the stationary solve starts from one recursion step
+    (n = 1 to 2), whatever ``n_schedule``: its solution does not depend on
+    where it starts.  Without ``refine`` the result is the finite-scale
+    recursion run from n = 1 to ``n_schedule``.
     """
     grid = make_grid(init)
     if not refine:
         return iterate_phi(q, b, 1, n_schedule, grid)
-    grid = iterate_phi(q, b, 1, min(n_schedule, _WARM_START), grid)
+    # One step, not none: without it the solve takes up to 12 more residual
+    # evaluations (42 against 30, q = 0.95 exponential), and the step is the
+    # route's only theta.folded_rule call, which the benchmark tests require.
+    grid = iterate_phi(q, b, 1, 2, grid)
     return refine_stationary(q, grid)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import linalg
 
+from .chain import _orthonormality_err
 from .engine import ols
 from .errors import ContractViolation
 from .streams import DOMAIN_PRBM, derive_stream
@@ -112,7 +113,7 @@ def symmetric_eig(matrix: np.ndarray):
     recon = np.abs(h @ v - v * w[None, :]).max()
     if recon > 1e-9 * scale * n:
         raise ContractViolation(f"eigen reconstruction error {recon:.2e}")
-    ortho = np.abs(v.T @ v - np.eye(n)).max()
+    ortho = _orthonormality_err(v.T)
     if ortho > 1e-10:
         raise ContractViolation(f"eigenvector orthonormality error {ortho:.2e}")
     return w, v

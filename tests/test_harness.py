@@ -44,6 +44,10 @@ def test_defaults_applied():
         ("prbm", "N_list = 64,64,128\n", "N_list"),
         ("rg-chain", "N = 256\nn_max = 200\n", "n_max"),
         ("brw", f"seed = {2**64}\n", "seed"),
+        ("simulate-lme", "q = 0.3\nb = 0.5\n", "q"),
+        ("simulate-lme", "q = 0.75\nb = 0\n", "b"),
+        ("prbm", "realizations = 0\n", "realizations"),
+        ("laplace", "n_schedule = 0\n", "n_schedule"),
     ],
     ids=[
         "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
@@ -52,7 +56,8 @@ def test_defaults_applied():
         "brw-unknown-mode", "brw-replicas-not-in-blocks", "rg-chain-a-above-half",
         "laplace-q-above-one", "laplace-unknown-init", "prbm-size-below-64",
         "prbm-two-sizes", "prbm-repeated-size", "rg-chain-n_max-above-half-N",
-        "brw-seed-above-64-bits",
+        "brw-seed-above-64-bits", "lme-q-below-half", "lme-b-zero",
+        "prbm-realizations-zero", "laplace-n_schedule-zero",
     ],
 )
 def test_rejections_name_the_key(subcommand, text, key):

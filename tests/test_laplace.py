@@ -111,24 +111,30 @@ def _assert_stationary(q, out):
     ids=["0.6", "0.9", "0.6-exponential", "0.9-exponential"],
 )
 def test_refine_at_other_q(q, init):
-    # exponential at q = 0.9 is the slowest warm start measured (31
-    # residual evaluations against 26 for delta)
+    # exponential at q = 0.9 is the slowest start measured (39 residual
+    # evaluations against 24 for delta)
     _assert_stationary(q, la.converge_grid(q, 0.5, init=init))
 
 
-def test_refine_warm_starts_from_a_short_recursion(refined, monkeypatch):
-    ends = []
+def test_refine_starts_from_one_recursion_step(refined, monkeypatch):
+    calls = []
     iterate = la.iterate_phi
 
     def recording(q, b, n_start, n_end, grid):
-        ends.append(n_end)
+        calls.append((n_start, n_end))
         return iterate(q, b, n_start, n_end, grid)
 
     monkeypatch.setattr(la, "iterate_phi", recording)
-    out = la.converge_grid(0.75, 0.5)  # the default n_schedule, 4000
-    assert ends and max(ends) <= la._WARM_START
-    # the solution does not depend on the start: 31 steps against 99
-    assert np.max(np.abs(out.phi - refined.phi)) <= 1e-10
+    outs = []
+    for n_schedule in (1, 50, 4000):
+        calls.clear()
+        outs.append(la.converge_grid(0.75, 0.5, n_schedule=n_schedule))
+        assert calls == [(1, 2)]
+    for out in outs[1:]:
+        assert np.array_equal(out.phi, outs[0].phi)
+        assert out.series == outs[0].series
+    # the solution does not depend on the start: one step against 99
+    assert np.max(np.abs(outs[0].phi - refined.phi)) <= 1e-10
 
 
 def test_unrefined_route_runs_the_whole_schedule():

@@ -16,6 +16,13 @@ Everything here runs both as a resampling pool (any depth) and as an
 explicit 2^depth-leaf tree (depth <= 20), the latter serving as the
 small-depth oracle for the former.
 
+A pool carries only the arrays its mode evolves (see :class:`BrwPool`):
+the cascade M, the derivative M and D, the maximum X_max alone.  A step
+never writes to its input pool, so while it runs it holds the old and the
+new of each evolved array, 8 bytes x replicas each: 16 MiB for a cascade
+or maximum step at 2^20 replicas, 32 MiB for a derivative step.  Each lane
+adds a few chunk-sized buffers, in which the kernels compute in place.
+
 A pool step derives one stream per replica block on the calling thread
 and hands its loop body to ``engine.map_chunks``, which runs the blocks on
 all usable cores.  The body calls only numpy and touches only its block's
@@ -105,10 +112,13 @@ class BrwParams:
 
 @dataclass
 class BrwPool:
-    """Replica ensemble; D and X_max ride along only when requested."""
+    """Replica ensemble at depth ``n``, carrying only the arrays its mode
+    evolves: a cascade pool ``M_values``, a derivative pool ``M_values``
+    and ``D_values``, a maximum pool ``X_max_values``; the others are None.
+    """
 
     n: int
-    M_values: np.ndarray
+    M_values: np.ndarray | None = None
     D_values: np.ndarray | None = None
     X_max_values: np.ndarray | None = None
 
@@ -134,13 +144,16 @@ def _median(x: np.ndarray) -> float:
 
 
 def init_pool(params: BrwParams, *, derivative: bool = False, track_max: bool = False) -> BrwPool:
+    """The depth-0 pool of one mode: M = 1 for the cascade; M = 1 and D = 0
+    with ``derivative`` (for :func:`step_derivative`); X_max = 0 alone with
+    ``track_max`` (for :func:`step_max`).  No step evolves D and X_max
+    together, so asking for both raises ``ValueError``."""
+    if derivative and track_max:
+        raise ValueError("a pool carries derivative or maximum values, not both")
     p = params.replicas
-    return BrwPool(
-        n=0,
-        M_values=np.ones(p),
-        D_values=np.zeros(p) if derivative else None,
-        X_max_values=np.zeros(p) if track_max else None,
-    )
+    if track_max:
+        return BrwPool(n=0, X_max_values=np.zeros(p))
+    return BrwPool(n=0, M_values=np.ones(p), D_values=np.zeros(p) if derivative else None)
 
 
 def _block_rngs(params: BrwParams, step_index: int):
@@ -150,17 +163,45 @@ def _block_rngs(params: BrwParams, step_index: int):
     ]
 
 
+def _require(pool: BrwPool, *names: str) -> None:
+    missing = [name for name in names if getattr(pool, name) is None]
+    if missing:
+        raise ValueError(f"pool does not carry {' and '.join(missing)}")
+
+
+# The kernels compute in their chunk's buffers: one buffer per drawn
+# variable, updated with out= ufuncs and np.take(..., out=) straight into
+# the chunk's slice of the output, in the operation order of the
+# docstring formula.  Each expression temporary would otherwise be a fresh
+# chunk-sized array per lane.  The parent indices are in range by
+# construction, so np.take runs in "clip" mode: with out= and the default
+# "raise" it copies through one more temporary.
+def _weight(z: np.ndarray, beta: float, shift: float) -> np.ndarray:
+    """(1/2) e^{beta z + shift}, computed in z."""
+    z *= beta
+    z += shift
+    np.exp(z, out=z)
+    z *= 0.5
+    return z
+
+
 def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
     """M' = (1/2) e^{beta V1 - beta^2/2} M[i] + (1/2) e^{beta V2 - beta^2/2} M[j],
     parents resampled with replacement within each replica block."""
+    _require(pool, "M_values")
     shift = -0.5 * beta * beta
     m = pool.M_values
     out = np.empty_like(m)
 
     def mix(sl, i, j, rng):
-        a1 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
-        a2 = 0.5 * np.exp(beta * rng.standard_normal(i.size) + shift)
-        out[sl] = a1 * m[i] + a2 * m[j]
+        a1 = _weight(rng.standard_normal(i.size), beta, shift)
+        a2 = _weight(rng.standard_normal(i.size), beta, shift)
+        o = out[sl]
+        np.take(m, i, out=o, mode="clip")
+        o *= a1
+        np.take(m, j, out=a1, mode="clip")
+        a1 *= a2
+        o += a1
 
     map_chunks(m.size, rngs, mix)
     return BrwPool(n=pool.n + 1, M_values=out)
@@ -171,8 +212,7 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
     D' = sum_i A_i [(beta_c - V_i) M^(i) + D^(i)], A_i the cascade weights.
     Sharing the normals and the resampled indices between the M and D
     updates is what keeps the pair a sample of the joint law."""
-    if pool.D_values is None:
-        raise ValueError("pool does not carry derivative values")
+    _require(pool, "M_values", "D_values")
     shift = -0.5 * BETA_C * BETA_C
     m, d = pool.M_values, pool.D_values
     out_m, out_d = np.empty_like(m), np.empty_like(d)
@@ -180,11 +220,27 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
     def mix(sl, i, j, rng):
         v1 = rng.standard_normal(i.size)
         v2 = rng.standard_normal(i.size)
-        a1 = 0.5 * np.exp(BETA_C * v1 + shift)
-        a2 = 0.5 * np.exp(BETA_C * v2 + shift)
-        mi, mj = m[i], m[j]
-        out_m[sl] = a1 * mi + a2 * mj
-        out_d[sl] = a1 * ((BETA_C - v1) * mi + d[i]) + a2 * ((BETA_C - v2) * mj + d[j])
+        a1 = _weight(v1.copy(), BETA_C, shift)
+        a2 = _weight(v2.copy(), BETA_C, shift)
+        om, od = out_m[sl], out_d[sl]
+        # v1 <- a1 ((beta_c - v1) M[i] + D[i]), om <- a1 M[i]
+        np.subtract(BETA_C, v1, out=v1)
+        np.take(m, i, out=om, mode="clip")
+        v1 *= om
+        om *= a1
+        np.take(d, i, out=od, mode="clip")
+        v1 += od
+        v1 *= a1
+        # v2 <- a2 ((beta_c - v2) M[j] + D[j]), om += a2 M[j]
+        np.subtract(BETA_C, v2, out=v2)
+        np.take(m, j, out=a1, mode="clip")
+        v2 *= a1
+        a1 *= a2
+        om += a1
+        np.take(d, j, out=od, mode="clip")
+        v2 += od
+        v2 *= a2
+        np.add(v1, v2, out=od)
 
     map_chunks(m.size, rngs, mix)
     return BrwPool(n=pool.n + 1, M_values=out_m, D_values=out_d)
@@ -192,18 +248,22 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
 
 def step_max(pool: BrwPool, rngs) -> BrwPool:
     """X' = max(V1 + X[i], V2 + X[j])."""
-    if pool.X_max_values is None:
-        raise ValueError("pool does not carry maximum values")
+    _require(pool, "X_max_values")
     x = pool.X_max_values
     out = np.empty_like(x)
 
     def mix(sl, i, j, rng):
-        x1 = rng.standard_normal(i.size) + x[i]
-        x2 = rng.standard_normal(i.size) + x[j]
-        np.maximum(x1, x2, out=out[sl])
+        x1 = rng.standard_normal(i.size)
+        x2 = rng.standard_normal(i.size)
+        o = out[sl]
+        np.take(x, i, out=o, mode="clip")
+        x1 += o
+        np.take(x, j, out=o, mode="clip")
+        x2 += o
+        np.maximum(x1, x2, out=o)
 
     map_chunks(x.size, rngs, mix)
-    return BrwPool(n=pool.n + 1, M_values=pool.M_values, X_max_values=out)
+    return BrwPool(n=pool.n + 1, X_max_values=out)
 
 
 def run_cascade(params: BrwParams) -> dict:

@@ -4,6 +4,7 @@ moment threshold, extreme-value centering, and pool-vs-tree agreement."""
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,12 +98,6 @@ class TestDerivative:
         assert all(v > 0 for v in tail)
         assert max(tail) / min(tail) < 1.5  # stabilizing, not drifting
 
-    def test_requires_derivative_pool(self):
-        params = brw.BrwParams(beta=brw.BETA_C, depth=2, replicas=3200)
-        pool = brw.init_pool(params)
-        with pytest.raises(ValueError):
-            brw.step_derivative(pool, rngs_for(params, 0))
-
 
 class TestMax:
     def test_first_step_mean_of_two_normals(self):
@@ -121,12 +116,6 @@ class TestMax:
         assert len(rec["median"]) == max(depth - 9, 0)
         assert math.isfinite(rec["slope"]) == slope_fitted
         assert math.isfinite(rec["log_coefficient"]) == log_fitted
-
-    def test_requires_max_pool(self):
-        params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
-        pool = brw.init_pool(params)
-        with pytest.raises(ValueError):
-            brw.step_max(pool, rngs_for(params, 0))
 
 
 class TestTreeOracle:
@@ -213,6 +202,103 @@ class TestMedian:
         assert rec[key][-1] == float(np.median(pool))
 
 
+def mode_pool(mode, params):
+    return brw.init_pool(params, derivative=mode == "derivative", track_max=mode == "max")
+
+
+class TestPoolArrays:
+    """A pool carries only the arrays its mode evolves, and each step is
+    its docstring formula over the ``_block_rngs`` streams."""
+
+    EVOLVED = {
+        "cascade": ("M_values",),
+        "derivative": ("M_values", "D_values"),
+        "max": ("X_max_values",),
+    }
+
+    MISSING = [
+        ("cascade", "max", "M_values"),
+        ("derivative", "cascade", "D_values"),
+        ("derivative", "max", "M_values and D_values"),
+        ("max", "cascade", "X_max_values"),
+        ("max", "derivative", "X_max_values"),
+    ]
+
+    @pytest.mark.parametrize(
+        "step, pool, missing", MISSING, ids=[f"{step}-{pool}" for step, pool, _ in MISSING]
+    )
+    def test_step_requires_the_arrays_it_evolves(self, step, pool, missing):
+        params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
+        with pytest.raises(ValueError, match=f"does not carry {missing}$"):
+            STEPS[step](mode_pool(pool, params), rngs_for(params, 0))
+
+    def test_derivative_and_max_pool_is_rejected(self):
+        params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
+        with pytest.raises(ValueError):
+            brw.init_pool(params, derivative=True, track_max=True)
+
+    @pytest.mark.parametrize("mode", sorted(RUNS))
+    def test_pools_carry_only_the_evolved_arrays(self, mode):
+        run, beta = RUNS[mode]
+        params = brw.BrwParams(beta=beta, depth=2, replicas=3200)
+        for pool in (mode_pool(mode, params), run(params)["final_pool"]):
+            carried = {name for name in ("M_values", "D_values", "X_max_values")
+                       if getattr(pool, name) is not None}
+            assert carried == set(self.EVOLVED[mode])
+
+    def test_max_run_peak_memory_is_two_pools(self, chunk_workers):
+        # numpy reports its buffers to tracemalloc; a max step holds the
+        # old and the new X_max plus one lane's chunk buffers
+        chunk_workers(1)
+        params = brw.BrwParams(beta=1.0, depth=4, replicas=1 << 18, seed=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            rec = brw.run_max(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec["final_pool"].M_values is None
+        assert peak - before <= 2.5 * 8 * params.replicas
+
+    @pytest.mark.parametrize("mode", sorted(STEPS))
+    def test_one_step_is_the_docstring_formula(self, mode):
+        params = brw.BrwParams(beta=1.0, depth=1, replicas=3200, seed=6)
+        p = params.replicas // params.blocks
+        draw = derive_stream(6, (DOMAIN_TEST, 7))
+        start = brw.BrwPool(n=3, **{
+            name: draw.lognormal(size=params.replicas) if name == "M_values"
+            else draw.standard_normal(params.replicas)
+            for name in self.EVOLVED[mode]
+        })
+        kept = {name: getattr(start, name).copy() for name in self.EVOLVED[mode]}
+        got = STEPS[mode](start, rngs_for(params, 0))
+
+        m, d, x = start.M_values, start.D_values, start.X_max_values
+        _, beta = RUNS[mode]  # the beta of STEPS[mode]
+        want = {name: [] for name in self.EVOLVED[mode]}
+        for k, rng in enumerate(rngs_for(params, 0)):
+            i = rng.integers(0, p, p) + k * p
+            j = rng.integers(0, p, p) + k * p
+            v1 = rng.standard_normal(p)
+            v2 = rng.standard_normal(p)
+            if mode == "max":
+                want["X_max_values"].append(np.maximum(v1 + x[i], v2 + x[j]))
+                continue
+            a1 = 0.5 * np.exp(beta * v1 - beta**2 / 2)
+            a2 = 0.5 * np.exp(beta * v2 - beta**2 / 2)
+            want["M_values"].append(a1 * m[i] + a2 * m[j])
+            if mode == "derivative":
+                want["D_values"].append(
+                    a1 * ((beta - v1) * m[i] + d[i]) + a2 * ((beta - v2) * m[j] + d[j])
+                )
+        assert got.n == 4
+        for name, blocks in want.items():
+            assert np.array_equal(getattr(got, name), np.concatenate(blocks))
+            assert np.array_equal(getattr(start, name), kept[name])  # input untouched
+
+
 def assert_same_pools(a, b):
     assert a.n == b.n
     for name in ("M_values", "D_values", "X_max_values"):
@@ -254,7 +340,7 @@ class TestThreadedBlocks:
         # of four blocks
         params = brw.BrwParams(beta=1.0, depth=3, replicas=64_000, seed=9)
         assert engine._CHUNK // 2000 == 4
-        start = brw.init_pool(params, derivative=mode == "derivative", track_max=mode == "max")
+        start = mode_pool(mode, params)
 
         def walk():
             pool = start

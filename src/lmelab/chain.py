@@ -12,10 +12,13 @@ greedily from a random origin so each site rotates at most once per scale.
 The eigenvectors are the rows of one dense (N, N) array, started at the
 identity.  Their supports soon cover about half the chain and most
 rotations overlap, so sparse storage saves nothing; the dense state costs
-8 N^2 bytes, and N is capped at :data:`MAX_N` (512 MiB).  Because a
-scale's pairs are disjoint and chosen from the levels before the scale,
-all of its rotations are applied together, as a vectorized Givens update
-of the selected rows in cache-sized blocks.
+8 N^2 bytes, and N is capped at :data:`MAX_N` (512 MiB).  Beyond the state
+a flow holds one working block at a time: about :data:`_BLOCK_BYTES` of
+rows for a Givens update or a P(q) pass, or about :data:`_GRAM_BYTES` of
+Gram matrix for the final orthonormality check.  Because a scale's pairs
+are disjoint and chosen from the levels before the scale, all of its
+rotations are applied together, as a vectorized Givens update of the
+selected rows in cache-sized blocks.
 
 Inverse participation ratios of the tracked vectors then realize, up to
 the model's approximations, the pairwise mixing recursion that the pool
@@ -49,7 +52,9 @@ __all__ = [
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-#: Largest chain: the dense vector state takes 8 N^2 bytes (512 MiB here).
+#: Largest chain: the dense vector state takes 8 N^2 bytes (512 MiB here),
+#: plus one row block of :data:`_BLOCK_BYTES` or one Gram block of
+#: :data:`_GRAM_BYTES` while it is updated or checked.
 MAX_N = 8192
 
 #: Bound on max |V V^T - I| at the end of a replica.  Rotations are exact
@@ -59,7 +64,8 @@ ORTHONORMALITY_TOL = 1e-10
 # Rows per block of a scale's Givens update are chosen so that each gathered
 # block and temporary holds about 128 KiB and stays in cache: at N = 4096
 # one scale's update took about 11 ms this way against 32 ms for all rows at
-# once, while N = 1024 gained under 0.4 ms.
+# once, while N = 1024 gained under 0.4 ms.  :func:`ipr` takes its rows in
+# blocks of the same size.
 _BLOCK_BYTES = 1 << 17
 
 # Rows per block of the orthonormality check's Gram product: each block
@@ -107,7 +113,7 @@ class RgParams:
             raise ValueError(f"replicas must be at least 1, got {self.replicas}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RotationEvent:
     """One resonant 2x2 diagonalization, logged for exactness checks."""
 
@@ -160,21 +166,29 @@ def ipr(vector, q: float) -> float | np.ndarray:
     """P(q) = sum |amplitude|^{2q} over the support (unit-norm input).
 
     ``vector`` is an array whose last axis holds the amplitudes; a 2-D
-    array gives one P(q) per row.  Only the nonzero entries are raised to
-    the power q.
+    array gives one P(q) per row, computed in row blocks of about
+    :data:`_BLOCK_BYTES`.  Only the nonzero entries are raised to the
+    power q.
     """
     amps = np.asarray(vector, dtype=float)
-    support = amps != 0.0
-    p = amps[support]  # a copy of the nonzero entries, row after row
-    np.square(p, out=p)
-    np.power(p, q, out=p)
     if amps.ndim == 1:
+        p = amps[amps != 0.0]
+        np.square(p, out=p)
+        np.power(p, q, out=p)
         return float(p.sum())
-    counts = np.count_nonzero(support, axis=1)
-    total = np.zeros(len(counts))
-    filled = counts > 0
-    if filled.any():
-        total[filled] = np.add.reduceat(p, (np.cumsum(counts) - counts)[filled])
+    total = np.zeros(len(amps))
+    rows = max(1, _BLOCK_BYTES // max(1, amps.shape[1] * amps.itemsize))
+    for lo in range(0, len(amps), rows):
+        block = amps[lo : lo + rows]
+        support = block != 0.0
+        p = block[support]  # a copy of the block's nonzero entries, row after row
+        np.square(p, out=p)
+        np.power(p, q, out=p)
+        counts = np.count_nonzero(support, axis=1)
+        filled = counts > 0
+        if filled.any():
+            starts = (np.cumsum(counts) - counts)[filled]
+            total[lo : lo + rows][filled] = np.add.reduceat(p, starts)
     return total
 
 

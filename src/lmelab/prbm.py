@@ -10,6 +10,12 @@ d(q) from P(q) ~ N^{-d(q)(q-1)}.
 Every diagonalization is checked: the reconstruction and orthonormality
 contracts of :func:`symmetric_eig` test every eigenpair, whatever LAPACK
 driver produced them.
+
+Memory stays near the matrices themselves: :func:`build_matrix` peaks at
+the one N^2 array it returns, and the symmetry and contract checks run in
+row or column blocks of about :data:`_BLOCK_BYTES` (the orthonormality
+check in the Gram blocks of :mod:`lmelab.chain`), beside LAPACK's own
+workspace.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy import linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .chain import _orthonormality_err
+from .chain import _BLOCK_BYTES, _orthonormality_err
 from .engine import ols
 from .errors import ContractViolation
 from .streams import DOMAIN_PRBM, derive_stream
@@ -77,16 +84,31 @@ class DqFit:
 
 
 def build_matrix(N: int, b: float, rng: np.random.Generator) -> np.ndarray:
-    """One ensemble member: variance 1 at periodic distance < b, else (b/d)^2."""
+    """One ensemble member: variance 1 at periodic distance < b, else (b/d)^2.
+
+    Entry (i, j) with i <= j is a standard normal draw times the standard
+    deviation at periodic distance d = min(|i - j|, N - |i - j|), read from
+    one (N, N) draw in row-major order; the lower triangle mirrors the
+    upper.  The profile depends on (j - i) mod N alone, so it is kept as
+    one row and read as an (N, N) view, and the mirror is copied in row
+    blocks: the returned array is the only N^2 buffer.
+    """
     if N < 2 or not b > 0:
         raise ValueError("need N >= 2 and b > 0")
-    idx = np.arange(N)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(dist, N - dist)
-    sigma = np.where(dist < b, 1.0, b / np.maximum(dist, 1))
-    raw = rng.standard_normal((N, N)) * sigma
-    upper = np.triu(raw)
-    return upper + np.triu(raw, 1).T
+    d = np.arange(N)
+    d = np.minimum(d, N - d)
+    prof = np.where(d < b, 1.0, b / np.maximum(d, 1))
+    # row i of the view is prof rolled right by i: sigma[i, j] = prof[(j - i) % N]
+    sigma = sliding_window_view(np.concatenate([prof, prof]), N)[N:0:-1]
+    h = rng.standard_normal((N, N))
+    h *= sigma
+    rows = max(1, _BLOCK_BYTES // h[0].nbytes)
+    for lo in range(0, N, rows):
+        hi = min(lo + rows, N)
+        # columns left of the diagonal in rows lo:hi take the upper triangle
+        below = np.tri(hi - lo, hi, lo - 1, dtype=bool)
+        np.copyto(h[lo:hi, :hi], h[:hi, lo:hi].T, where=below)
+    return h
 
 
 def symmetric_eig(matrix: np.ndarray):
@@ -96,21 +118,35 @@ def symmetric_eig(matrix: np.ndarray):
     OpenBLAS also runs the contract products below: scipy's ``eigh`` runs on
     scipy's separate OpenBLAS, and the two thread pools then contend for the
     same cores.  The reconstruction and orthonormality contracts are
-    verified on every call.
+    verified on every call.  The symmetry check runs in row blocks and the
+    reconstruction in column blocks of about :data:`_BLOCK_BYTES`, and the
+    orthonormality check in the chain's Gram blocks, so beside ``v`` the
+    checks hold one block at a time.
     """
     h = np.asarray(matrix, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("input must be square")
-    if not np.all(np.isfinite(h)):
+    # max |h| without an N^2 temporary; NaN in h makes both terms NaN
+    scale = float(np.maximum(h.max(), -h.min()))
+    if not math.isfinite(scale):
         raise ValueError("input must be finite")
-    # rtol=0: numpy's default rtol of 1e-5 would pass asymmetries of 1e-6
-    # that eigh then resolves by reading one triangle
-    if not np.allclose(h, h.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(h).max())):
-        raise ValueError("input must be symmetric")
-    w, v = linalg.eigh(h)
     n = h.shape[0]
-    scale = np.abs(h).max()
-    recon = np.abs(h @ v - v * w[None, :]).max()
+    rows = max(1, _BLOCK_BYTES // h[0].nbytes)
+    # an absolute bound only: a relative tolerance such as np.allclose's
+    # default 1e-5 would pass asymmetries of 1e-6 that eigh then resolves by
+    # reading one triangle
+    atol = 1e-12 * max(1.0, scale)
+    for lo in range(0, n, rows):
+        skew = h[lo : lo + rows] - h[:, lo : lo + rows].T
+        if np.abs(skew, out=skew).max() > atol:
+            raise ValueError("input must be symmetric")
+    w, v = linalg.eigh(h)
+    recon = 0.0
+    for lo in range(0, n, rows):
+        vb = v[:, lo : lo + rows]
+        resid = h @ vb
+        resid -= vb * w[lo : lo + rows]
+        recon = max(recon, float(np.abs(resid, out=resid).max()))
     if recon > 1e-9 * scale * n:
         raise ContractViolation(f"eigen reconstruction error {recon:.2e}")
     ortho = _orthonormality_err(v.T)
@@ -124,8 +160,9 @@ def central_half_log_iprs(v: np.ndarray, q: float) -> np.ndarray:
     half of the spectrum (columns are assumed sorted by eigenvalue)."""
     n = v.shape[1]
     lo, hi = n // 4, n - n // 4
-    p = ((v[:, lo:hi] ** 2) ** q).sum(axis=0)
-    return np.log(p)
+    p = v[:, lo:hi] ** 2
+    p **= q
+    return np.log(p.sum(axis=0))
 
 
 def estimate_dq(ensemble: PrbmEnsemble, q: float) -> DqFit:

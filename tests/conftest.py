@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 from lmelab import engine
@@ -20,3 +22,26 @@ def chunk_workers(monkeypatch):
     yield use
     if engine._executor is not None:
         engine._executor.shutdown()
+
+
+@pytest.fixture
+def traced_peak():
+    """Run ``fn()`` under tracemalloc; return its result and the peak number
+    of bytes traced above the level when it started.
+
+    numpy reports its buffers to tracemalloc, so the peak counts every
+    array the call holds at once; LAPACK's workspace is not counted.
+    """
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - before
+
+    return run

@@ -4,7 +4,6 @@ moment threshold, extreme-value centering, and pool-vs-tree agreement."""
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,21 +245,14 @@ class TestPoolArrays:
                        if getattr(pool, name) is not None}
             assert carried == set(self.EVOLVED[mode])
 
-    def test_max_run_peak_memory_is_two_pools(self, chunk_workers):
-        # numpy reports its buffers to tracemalloc; a max step holds the
-        # old and the new X_max plus one lane's chunk buffers
+    def test_max_run_peak_memory_is_two_pools(self, chunk_workers, traced_peak):
+        # a max step holds the old and the new X_max plus one lane's chunk
+        # buffers
         chunk_workers(1)
         params = brw.BrwParams(beta=1.0, depth=4, replicas=1 << 18, seed=3)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            rec = brw.run_max(params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rec, peak = traced_peak(lambda: brw.run_max(params))
         assert rec["final_pool"].M_values is None
-        assert peak - before <= 2.5 * 8 * params.replicas
+        assert peak <= 2.5 * 8 * params.replicas
 
     @pytest.mark.parametrize("mode", sorted(STEPS))
     def test_one_step_is_the_docstring_formula(self, mode):

@@ -76,6 +76,38 @@ class TestIpr:
                 assert p == pytest.approx(ch.ipr(row, q), rel=1e-14)
         assert np.array_equal(ch.ipr(np.zeros((3, 4)), 2.0), np.zeros(3))
 
+    @staticmethod
+    def one_shot_ipr(amps, q):
+        """All rows at once: one mask, one compacted copy, one reduceat."""
+        support = amps != 0.0
+        p = np.square(amps[support])
+        p = np.power(p, q)
+        counts = np.count_nonzero(support, axis=1)
+        total = np.zeros(len(counts))
+        filled = counts > 0
+        total[filled] = np.add.reduceat(p, (np.cumsum(counts) - counts)[filled])
+        return total
+
+    def test_row_blocks_match_the_one_shot_sums(self):
+        rows, width = 300, 1024
+        edge = ch._BLOCK_BYTES // (8 * width)  # rows per block
+        amps = rng_for(16).standard_normal((rows, width))
+        amps[rng_for(17).random((rows, width)) < 0.5] = 0.0
+        # empty rows first, last, and at and around block edges
+        amps[[0, edge - 1, edge, 2 * edge, 2 * edge + 1, 5 * edge - 1, rows - 1]] = 0.0
+        # single nonzero entries at a block's end and the next block's start
+        for r in (3 * edge - 1, 3 * edge):
+            amps[r] = 0.0
+            amps[r, r % width] = 1.0
+        for q in (0.75, 2.0):
+            assert np.array_equal(ch.ipr(amps, q), self.one_shot_ipr(amps, q))
+
+    def test_peak_memory_is_one_row_block(self, traced_peak):
+        amps = rng_for(16).standard_normal((1024, 1024))
+        amps[rng_for(17).random(amps.shape) < 0.5] = 0.0
+        _, peak = traced_peak(lambda: ch.ipr(amps, 0.75))
+        assert peak <= 1 << 20
+
 
 class TestStepScale:
     def test_no_resonance_leaves_state(self):

@@ -33,6 +33,23 @@ class TestBuildMatrix:
         h = prbm.build_matrix(128, 0.5, rng_for(0))
         assert np.array_equal(h, h.T)
 
+    @pytest.mark.parametrize("n", [64, 161, 512])
+    @pytest.mark.parametrize("b", [0.1, 3.0])
+    def test_is_the_docstring_formula(self, n, b):
+        # 161 is not a multiple of the mirror's row block
+        idx = np.arange(n)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        dist = np.minimum(dist, n - dist)
+        sigma = np.where(dist < b, 1.0, b / np.maximum(dist, 1))
+        raw = rng_for(6).standard_normal((n, n)) * sigma
+        expected = np.triu(raw) + np.triu(raw, 1).T
+        assert np.array_equal(prbm.build_matrix(n, b, rng_for(6)), expected)
+
+    def test_peak_memory_is_the_matrix(self, traced_peak):
+        n = 1024
+        _, peak = traced_peak(lambda: prbm.build_matrix(n, 0.1, rng_for(6)))
+        assert peak <= 1.25 * 8 * n * n
+
     def test_variance_profile_small_b(self):
         # b = 0.5: variance 1 on the diagonal only, (b/d)^2 off it
         reps = 4000
@@ -91,6 +108,20 @@ class TestSymmetricEig:
         with pytest.raises(ValueError, match="input must be symmetric"):
             prbm.symmetric_eig(np.array([[2.0, 1.0], [1.000001, 3.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        h = np.eye(3)
+        h[1, 2] = h[2, 1] = bad
+        with pytest.raises(ValueError, match="input must be finite"):
+            prbm.symmetric_eig(h)
+
+    def test_peak_memory_is_the_vectors_and_blocks(self, traced_peak):
+        # eigh's v is one N^2 array; LAPACK's workspace is not traced
+        n = 1024
+        h = prbm.build_matrix(n, 0.1, rng_for(7))
+        _, peak = traced_peak(lambda: prbm.symmetric_eig(h))
+        assert peak <= 2.5 * 8 * n * n
+
     def test_runs_on_numpys_lapack(self):
         # scipy.linalg.eigh runs on scipy's own OpenBLAS, whose thread pool
         # contends with numpy's, which runs the contract products: on a
@@ -129,6 +160,14 @@ class TestSymmetricEig:
         h = prbm.build_matrix(32, 0.1, rng_for(5))
         with pytest.raises(ContractViolation, match=contract):
             prbm.symmetric_eig(h)
+
+
+class TestCentralHalfLogIprs:
+    def test_peak_memory_is_half_the_vectors(self, traced_peak):
+        n = 1024
+        v = rng_for(7).standard_normal((n, n))
+        _, peak = traced_peak(lambda: prbm.central_half_log_iprs(v, 2.0))
+        assert peak <= 0.6 * 8 * n * n
 
 
 class TestEstimateDq:

@@ -1,10 +1,13 @@
 """Laplace-transform grid checks."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.optimize import NoConvergence
 
 from lmelab import engine as en
@@ -267,15 +270,141 @@ def exponential_grid():
     return la.iterate_phi(0.75, 0.5, 1, 3, la.make_grid("exponential"))
 
 
-@pytest.mark.parametrize("start", ["delta", "exponential"])
+@pytest.fixture(scope="module")
+def starts(grid, exponential_grid, refined):
+    # the refined grid is the stationary solve's operating point
+    return {"delta": grid, "exponential": exponential_grid, "refined": refined}
+
+
+@pytest.mark.parametrize("start", ["delta", "exponential", "refined"])
 @pytest.mark.parametrize("name", ["head", "top", "clamp", "sin", "cos"])
-def test_outer_evaluator_matches_the_generic_one(grid, exponential_grid, start, name):
-    g = grid if start == "delta" else exponential_grid
+def test_outer_evaluator_matches_the_generic_one(starts, start, name):
+    g = starts[start]
     m = _multipliers()[name]
-    got = la._outer_evaluator(g)(m)
+    got = la._outer_evaluator(g)(la._log_grid(g.t).reads(m))
     want = la._evaluator(g)(np.multiply.outer(g.t, m))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("start", ["delta", "exponential", "refined", "non-monotone"])
+def test_spline_table_is_scipys(starts, start):
+    # the fixed-rule paths build CubicSpline's not-a-knot table by hand; it
+    # must stay scipy's to the bit, so a scipy that changes its algorithm
+    # fails here
+    if start == "non-monotone":
+        g = starts["delta"]
+        g = replace(g, phi=g.phi * (1.0 + 0.1 * np.sin(3.0 * np.log(g.t))))
+    else:
+        g = starts[start]
+    want = CubicSpline(np.log(g.t), g.phi).c
+    assert np.array_equal(la._log_grid(g.t).spline(g.phi), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_phi_is_rejected(grid, bad):
+    phi = grid.phi.copy()
+    phi[150] = bad
+    with pytest.raises(ValueError, match="finite"):
+        la._residual_grid(0.75, replace(grid, phi=phi))
+
+
+def _free_nodes(g):
+    return np.where((g.t > la._COLLAR_T_MAX) & (g.t <= la._SOLVE_T_MAX))[0]
+
+
+def test_preconditioner_is_solve_banded_to_the_bit(grid, monkeypatch):
+    bands = []
+    factor = la.dgbtrf
+
+    def recording(ab, *args, **kwargs):
+        # the band as solve_banded takes it, below gbtrf's fill-in rows,
+        # copied before gbtrf overwrites it
+        bands.append(ab[la._BAND :].copy())
+        return factor(ab, *args, **kwargs)
+
+    monkeypatch.setattr(la, "dgbtrf", recording)
+    fidx = _free_nodes(grid)
+    pre = la._banded_preconditioner(0.75, grid, fidx)
+    rng = np.random.default_rng(5)
+    for v in (rng.standard_normal(fidx.size), la._residual_grid(0.75, grid)[fidx]):
+        want = solve_banded((la._BAND, la._BAND), bands[0], v)
+        assert np.array_equal(pre.matvec(v), want)
+
+
+def test_preconditioner_is_factored_once_per_solve(grid, monkeypatch):
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+
+    def counting(name):
+        routine = getattr(la, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(la, name, counting(name))
+    la.refine_stationary(0.75, grid)
+    assert calls["dgbtrf"] == 1
+    assert calls["dgbtrs"] > 1
+
+
+def test_singular_preconditioner_raises(grid, monkeypatch):
+    # a kernel with no weight, no small-angle terms and T(q) = 0 leaves an
+    # all-zero band
+    ker = SimpleNamespace(**vars(la._kernel(0.75)))
+    ker.weights = np.zeros_like(ker.weights)
+    ker.T = ker.g_sing = ker.g_adv = ker.g_cross = ker.g_quad = 0.0
+    monkeypatch.setattr(la, "_kernel", lambda q: ker)
+    fidx = _free_nodes(grid)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        la._banded_preconditioner(0.75, grid, fidx).matvec(np.ones(fidx.size))
+
+
+@pytest.mark.parametrize(
+    "info, error, message",
+    [(2, np.linalg.LinAlgError, "singular matrix"), (-3, ValueError, "3-th argument")],
+)
+def test_lapack_info_raises(info, error, message):
+    la._lapack_info(0, "gtsv")
+    with pytest.raises(error, match=message):
+        la._lapack_info(info, "gtsv")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preconditioner_rejects_non_finite_vectors(grid, bad):
+    fidx = _free_nodes(grid)
+    v = np.ones(fidx.size)
+    v[7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        la._banded_preconditioner(0.75, grid, fidx).matvec(v)
+
+
+def test_cached_constants_match_cold_ones():
+    # the phi-free constants are cached by exact q and nodes: runs that
+    # interleave two q and two grids of one size give what each gives from
+    # cold caches
+    t = np.geomspace(1e-3, 1e2, 400)
+    other = la.GridFunction(t=t, phi=np.exp(-t), series=(1.0, -1.0, 0.5, -1 / 6, 1 / 24))
+    runs = [
+        lambda: la.converge_grid(0.75, 0.5),
+        lambda: la.converge_grid(0.6, 0.5),
+        lambda: la._residual_grid(0.75, other),
+        lambda: la.converge_grid(0.75, 0.5),
+        lambda: la.iterate_phi(0.75, 0.5, 1, 20, other),
+    ]
+    warm = [run() for run in runs]
+    for run, w in zip(runs, warm):
+        la._kernel_cache.clear()
+        la._log_grid_of.cache_clear()
+        cold = run()
+        if isinstance(w, la.GridFunction):
+            assert np.array_equal(cold.phi, w.phi)
+            assert cold.series == w.series
+        else:
+            assert np.array_equal(cold, w)
 
 
 def test_off_log_grid_is_rejected():
@@ -308,6 +437,8 @@ def test_fresh_grids_pass_the_invariants(init):
     g = la.make_grid(init)
     g.check_invariants()
     la._log_step(np.log(g.t))  # the fixed-rule paths need a log-uniform grid
+    # make_grid repeats geomspace's arithmetic; a numpy that changes it fails here
+    assert np.array_equal(g.t, np.geomspace(1e-4, 1e3, 400))
 
 
 def _perturbed(edit):

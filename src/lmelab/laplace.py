@@ -42,14 +42,15 @@ The fixed-rule paths (:func:`iterate_phi`, the stationary residual and the
 preconditioner) evaluate the grid only at node-times-multiplier points
 t_i m, which on a grid uniform in ln t lie a fixed number of spline
 intervals from their node, so :func:`_outer_evaluator` reads them off one
-row of interval values per multiplier, with no search; it raises
-ValueError on a grid that is not uniform in ln t.  These paths build the
+row of interval values per multiplier, with no search; these paths raise
+ValueError on a grid that is not uniform in ln t.  They build the
 spline as scipy's not-a-knot CubicSpline does, to the bit, with one LAPACK
-tridiagonal solve.  What does not depend on phi (the grid's step and
-spline system, the head's powers, the series fit's design) comes from one
-small cache keyed exactly by the nodes, and the kernel multipliers'
-interval offsets are kept on the per-q kernel pieces, so a stationary
-solve computes them once.
+tridiagonal solve.  What does not depend on phi is built once per call
+and passed down: :func:`iterate_phi` builds one :class:`_LogGrid` (the
+grid's step, spline system and head powers), and :func:`refine_stationary`
+one :class:`_StationarySolve`, which adds the kernel multipliers' reads and
+the collar fit's design.  Only the per-q kernel pieces of :func:`_kernel`
+are kept between calls.
 Arbitrary points (:func:`grid_eval` and the oracle
 :func:`stationary_residual`) go through the interval search of
 :func:`_evaluator`, on scipy's CubicSpline.
@@ -59,8 +60,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -146,12 +146,6 @@ def _check_q(q: float) -> None:
 def _check_init(init: str) -> None:
     if init not in ("delta", "exponential"):
         raise ValueError(f"unknown init {init!r}; use 'delta' or 'exponential'")
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    """Lock arrays that a cache hands to every caller."""
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def make_grid(init: str = "delta") -> GridFunction:
@@ -250,14 +244,11 @@ class _Reads(NamedTuple):
 
 class _LogGrid:
     """The phi-free constants of a grid uniform in ln t, read by
-    :func:`_outer_evaluator`: its nodes t, node count n and step h, scipy's
+    :func:`_outer_evaluator`: its node count n and step h, scipy's
     not-a-knot system in ln t and the powers t_j^p, p = 0..4, of the
-    intervals j = -n .. -1 continued below t_min; and, made on first use,
-    the designs of :func:`_small_t_fit`."""
+    intervals j = -n .. -1 continued below t_min."""
 
     def __init__(self, t: np.ndarray):
-        self.t = t
-        self._fits = {}
         lnt = np.log(t)
         n = self.n = t.size
         h = self.h = _log_step(lnt)
@@ -273,7 +264,6 @@ class _LogGrid:
         self.last = (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
         t_below = np.exp(lnt[0] + h * np.arange(-n, 0))
         self.head = np.power.outer(t_below, np.arange(5))
-        _read_only(self.dx, self.dl, self.d, self.du, self.head)
 
     def spline(self, phi: np.ndarray) -> np.ndarray:
         """``CubicSpline(ln t, phi).c``, built as scipy builds it: the same
@@ -294,15 +284,15 @@ class _LogGrid:
         tt = (s[:-1] + s[1:] - 2 * slope) / dx
         return np.stack((tt / dx, (slope - s[:-1]) / dx - tt, s[:-1], phi[:-1]))
 
-    def table(self, grid: GridFunction) -> np.ndarray:
+    def table(self, phi: np.ndarray, series: tuple[float, ...]) -> np.ndarray:
         """tab[:, n + j] is interval j, for j in [-n, 2n), as the
         coefficients of the :class:`_Reads` basis: the spline's cubic in the
         grid, the series head c_p (t_j e^dx)^p below it, the clamp above."""
         n = self.n
         tab = np.zeros((8, 3 * n))
-        tab[:4, n : 2 * n - 1] = self.spline(grid.phi)
-        tab[3, 2 * n - 1 :] = grid.phi[-1]
-        tab[3:, :n] = (self.head * grid.series).T
+        tab[:4, n : 2 * n - 1] = self.spline(phi)
+        tab[3, 2 * n - 1 :] = phi[-1]
+        tab[3:, :n] = (self.head * series).T
         return tab
 
     def reads(self, mult: np.ndarray) -> _Reads:
@@ -315,43 +305,13 @@ class _LogGrid:
         lo, hi = int(shift.min(initial=0)), int(shift.max(initial=0))
         powers = np.power.outer(dx, np.arange(3, -1, -1))
         exps = np.power.outer(np.exp(dx), np.arange(1, 5))
-        reads = _Reads(np.hstack([powers, exps]), lo, hi, np.arange(mult.size), shift - lo)
-        _read_only(reads.basis, reads.rows, reads.cols)
-        return reads
-
-    def fit(self, p0: int, t_above: float):
-        """The phi-free part of :func:`_small_t_fit`: the window mask, the
-        window's t^0 .. t^(p0-1), the design of t^p0 .. t^7, its column
-        norms and the design scaled by them."""
-        key = (p0, t_above)
-        if key not in self._fits:
-            t = self.t
-            mask = (t > t_above) & (t <= _SERIES_FIT_T_MAX)
-            tm = t[mask]
-            a = np.vstack([tm**p for p in range(p0, 8)]).T
-            scale = np.linalg.norm(a, axis=0)
-            head_powers = tuple(tm**k for k in range(p0))
-            scaled = a / scale
-            _read_only(mask, a, scale, scaled, *head_powers)
-            self._fits[key] = mask, head_powers, a, scale, scaled
-        return self._fits[key]
+        return _Reads(np.hstack([powers, exps]), lo, hi, np.arange(mult.size), shift - lo)
 
 
-@lru_cache(maxsize=4)
-def _log_grid_of(key: bytes) -> _LogGrid:
-    return _LogGrid(np.frombuffer(key))
-
-
-def _log_grid(t: np.ndarray) -> _LogGrid:
-    """The :class:`_LogGrid` of nodes t, from a small cache keyed exactly by
-    their float64 bytes; a grid that is not uniform in ln t raises
-    ValueError."""
-    return _log_grid_of(np.asarray(t, dtype=float).tobytes())
-
-
-def _outer_evaluator(grid: GridFunction):
-    """phi(t_i m_k) at every node t_i and positive multiplier m_k, as an
-    array of shape (nodes, multipliers), for the multipliers' :class:`_Reads`.
+def _outer_evaluator(lg: _LogGrid, phi: np.ndarray, series: tuple[float, ...]):
+    """phi(t_i m_k) at every node t_i of ``lg`` and positive multiplier m_k,
+    for the grid values ``phi`` and series head ``series``, as an array of
+    shape (nodes, multipliers), for the multipliers' :class:`_Reads`.
 
     On the grid uniform in ln t, t_i m lies in spline interval
     j = i + s with s = floor(ln m / h), at dx = ln t_i + ln m - ln t_j =
@@ -362,12 +322,10 @@ def _outer_evaluator(grid: GridFunction):
     table continues the grid below t_min with intervals j < 0 of the same
     width, on which the series head at t_j e^dx = t_i m is taken, and
     above t_max with the clamp, as in :func:`_evaluator`.  Only the table
-    depends on phi: the grid's constants come from :func:`_log_grid` and
-    the multipliers' from :meth:`_LogGrid.reads`, which the stationary
-    residual takes once per grid and q (:meth:`_KernelPieces.reads`).
+    depends on phi: the caller builds ``lg`` and the multipliers' reads
+    (:meth:`_LogGrid.reads`) once and keeps them for as long as they hold.
     """
-    lg = _log_grid(grid.t)
-    tab = lg.table(grid)
+    tab = lg.table(phi, series)
     n = lg.n
 
     def ev(reads: _Reads) -> np.ndarray:
@@ -419,7 +377,7 @@ def iterate_phi(
     phi = grid.phi.copy()
     series = grid.series
     powers = np.arange(5)
-    lg = _log_grid(t)
+    lg = _LogGrid(t)
     for n in range(n_start, n_end):
         nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), 24)
         s2 = np.sin(nodes) ** 2
@@ -427,7 +385,7 @@ def iterate_phi(
         b_pow = (1.0 - s2) ** q
         t_n = (a_pow + b_pow) @ w
         a_arg, b_arg = a_pow / t_n, b_pow / t_n
-        ev = _outer_evaluator(GridFunction(t=t, phi=phi, series=series))
+        ev = _outer_evaluator(lg, phi, series)
         new = ev(lg.reads(a_arg))
         new *= ev(lg.reads(b_arg))
         new = new @ w
@@ -483,15 +441,6 @@ class _KernelPieces:
         self.cos_pow = (1.0 - s2) ** q
         self.inv_s2c2 = 1.0 / (s2 * (1.0 - s2))
         self.T = analytics.T_of_q(q)
-        self._reads_grid = self._reads = None
-
-    def reads(self, lg: _LogGrid) -> tuple[_Reads, _Reads]:
-        """The sin and cos multipliers' :class:`_Reads` on grid ``lg``, kept
-        for the last grid asked for."""
-        if self._reads_grid is not lg:
-            self._reads = lg.reads(self.sin_pow), lg.reads(self.cos_pow)
-            self._reads_grid = lg
-        return self._reads
 
     def small_part(self, t, phi_t, tphi_prime, m2: float):
         """Integral of the expanded kernel over [0, theta_switch]."""
@@ -524,18 +473,74 @@ def _dlog_derivative(phi: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
-    """Stationary residual at every grid node (fixed-rule evaluation).
+class _SeriesFit:
+    """Least squares for the coefficients of t^len(head) .. t^7 in
+    phi(t) - sum_k head[k] t^k over t_above < t <= _SERIES_FIT_T_MAX on
+    nodes t.  The phi-free design is built once; each call fits one phi."""
+
+    def __init__(self, t: np.ndarray, head: tuple[float, ...], t_above: float):
+        self.mask = (t > t_above) & (t <= _SERIES_FIT_T_MAX)
+        tm = t[self.mask]
+        self.head_terms = tuple(c * tm**k for k, c in enumerate(head))
+        self.a = np.vstack([tm**p for p in range(len(head), 8)]).T
+        self.scale = np.linalg.norm(self.a, axis=0)
+        self.scaled = self.a / self.scale
+
+    def __call__(self, phi: np.ndarray) -> tuple[np.ndarray, float]:
+        """The coefficients and the largest fit residual."""
+        y = phi[self.mask]
+        for term in self.head_terms:
+            y = y - term
+        c, *_ = np.linalg.lstsq(self.scaled, y, rcond=None)
+        c = c / self.scale
+        return c, float(np.max(np.abs(self.a @ c - y)))
+
+
+class _StationarySolve:
+    """One stationary solve at q from a start grid, and the phi-free
+    constants that its residual evaluations share: the kernel pieces
+    ``ker``, the nodes' :class:`_LogGrid` ``lg``, the sin and cos
+    multipliers' :class:`_Reads` on it, the collar mask and the free nodes
+    ``fidx`` of :func:`refine_stationary`, and the design of the collar's
+    pinned series fit.  ``start`` is the start grid with its collar set
+    (:func:`_set_collar`); the nodes beyond the solve window keep its
+    values.  A grid that is not uniform in ln t raises ValueError.
+    """
+
+    def __init__(self, q: float, grid: GridFunction):
+        t = self.t = grid.t
+        ker = self.ker = _kernel(q)
+        lg = self.lg = _LogGrid(t)
+        self.reads = lg.reads(ker.sin_pow), lg.reads(ker.cos_pow)
+        self.collar = t <= _COLLAR_T_MAX
+        self.fidx = np.where(~self.collar & (t <= _SOLVE_T_MAX))[0]
+        self.collar_fit = _SeriesFit(t, (1.0, -1.0), _COLLAR_T_MAX)
+        self.start = _set_collar(self, grid.phi.copy())
+
+    def rebuilt(self, u: np.ndarray) -> GridFunction:
+        """The start grid with free values u and its collar set."""
+        phi = self.start.phi.copy()
+        phi[self.fidx] = u
+        return _set_collar(self, phi)
+
+    def objective(self, u: np.ndarray) -> np.ndarray:
+        """The residual at the free nodes as a function of their values:
+        the function the Newton solve drives to zero."""
+        return _residual_grid(self, self.rebuilt(u))[self.fidx]
+
+
+def _residual_grid(solve: _StationarySolve, grid: GridFunction) -> np.ndarray:
+    """Stationary residual at every node of ``grid`` (fixed-rule
+    evaluation), a grid on the nodes of ``solve``.
 
     Only the spline table and what follows it depend on phi: the kernel
-    pieces and T(q) are cached by q, h by the exact nodes and the
-    multipliers' reads on the kernel pieces, so a solve takes them once.
+    pieces, the grid's constants and the multipliers' reads come from
+    ``solve``, built once per solve.
     """
-    ker = _kernel(q)
-    lg = _log_grid(grid.t)
-    sin_reads, cos_reads = ker.reads(lg)
-    ev = _outer_evaluator(grid)
-    tphip = _dlog_derivative(grid.phi, lg.h)
+    ker = solve.ker
+    sin_reads, cos_reads = solve.reads
+    ev = _outer_evaluator(solve.lg, grid.phi, grid.series)
+    tphip = _dlog_derivative(grid.phi, solve.lg.h)
     fab = ev(sin_reads)
     fab *= ev(cos_reads)
     fab -= grid.phi[:, None]
@@ -546,34 +551,10 @@ def _residual_grid(q: float, grid: GridFunction) -> np.ndarray:
     return ker.T * tphip + 0.5 * (main + small)
 
 
-def _small_t_fit(
-    grid: GridFunction, head: tuple[float, ...], t_above: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients of t^len(head) .. t^7 in
-    phi(t) - sum_k head[k] t^k over t_above < t <= _SERIES_FIT_T_MAX, and
-    the largest fit residual."""
-    mask, head_powers, a, scale, scaled = _log_grid(grid.t).fit(len(head), t_above)
-    y = grid.phi[mask]
-    for c, tk in zip(head, head_powers):
-        y = y - c * tk
-    c, *_ = np.linalg.lstsq(scaled, y, rcond=None)
-    c = c / scale
-    return c, float(np.max(np.abs(a @ c - y)))
-
-
-def _fit_series_pinned(grid: GridFunction, t_above: float = 0.0):
-    """Series coefficients with the mean pinned at one (scale anchor),
-    fitted over t_above < t <= _SERIES_FIT_T_MAX."""
-    c, _ = _small_t_fit(grid, (1.0, -1.0), t_above)
-    return (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
-
-
-def _banded_preconditioner(
-    q: float, grid: GridFunction, fidx: np.ndarray
-) -> LinearOperator:
+def _banded_preconditioner(solve: _StationarySolve) -> LinearOperator:
     """Inverse of a banded approximation of the free-node Jacobian of
-    :func:`_residual_grid` at ``grid``: the preconditioner of one Newton
-    solve of :func:`refine_stationary`.
+    :func:`_residual_grid` at the start grid of ``solve``: the
+    preconditioner of one Newton solve of :func:`refine_stationary`.
 
     Exact parts: the :func:`_dlog_derivative` stencil times T(q) plus the
     t phi' coefficients of the small-angle part, and the diagonal terms
@@ -582,8 +563,7 @@ def _banded_preconditioner(
     replaced by linear interpolation in ln t and entries more than _BAND
     nodes off the diagonal dropped.  On the log-uniform grid the argument
     t_i c_k lies ln(c_k)/h nodes from node i whatever i is, so the
-    interpolation slots and weights depend on the angle node alone; a grid
-    that is not uniform in ln t raises ValueError.
+    interpolation slots and weights depend on the angle node alone.
 
     Only the cos side enters: sin^{2q}u <= 2^{-q} puts every sin-side
     argument q ln 2 / h > _BAND + 1 nodes below its node on
@@ -597,14 +577,13 @@ def _banded_preconditioner(
     call's to the bit.  As there, a singular band raises LinAlgError and a
     non-finite band or vector ValueError.
     """
-    ker = _kernel(q)
-    lg = _log_grid(grid.t)
+    ker, lg, fidx, grid = solve.ker, solve.lg, solve.fidx, solve.start
     h = lg.h
     tf = grid.t[fidx]
-    ev = _outer_evaluator(grid)
+    ev = _outer_evaluator(lg, grid.phi, grid.series)
     coef = 0.5 * ker.weights * ker.inv_s2c2
     stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    dcoef = ker.T + 0.5 * q * (tf * ker.g_cross - ker.g_adv)
+    dcoef = ker.T + 0.5 * ker.q * (tf * ker.g_cross - ker.g_adv)
     # rows[i, _BAND + d] is J[i, i + d]
     rows = np.zeros((fidx.size, 2 * _BAND + 1))
     rows[:, _BAND - 2 : _BAND + 3] = dcoef[:, None] * stencil
@@ -630,23 +609,25 @@ def _banded_preconditioner(
     lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), _BAND, _BAND, overwrite_ab=True)
     _lapack_info(info, "gbtrf")
 
-    def solve(v: np.ndarray) -> np.ndarray:
+    def inverse(v: np.ndarray) -> np.ndarray:
         x, info = dgbtrs(lu, _BAND, _BAND, np.asarray_chkfinite(v), piv)
         _lapack_info(info, "gbtrs")
         return x
 
-    return LinearOperator((m, m), matvec=solve, dtype=float)
+    return LinearOperator((m, m), matvec=inverse, dtype=float)
 
 
-def _set_collar(grid: GridFunction, collar: np.ndarray) -> GridFunction:
-    """The grid with its collar nodes and series head set to the pinned
-    series fit, from the window's nodes above the collar."""
-    series = _fit_series_pinned(grid, _COLLAR_T_MAX)
+def _set_collar(solve: _StationarySolve, phi: np.ndarray) -> GridFunction:
+    """The grid of ``phi`` on the nodes of ``solve``, with its collar nodes
+    (set in ``phi`` itself) and series head set to the series fit with the
+    mean pinned at one (the scale anchor), from the window's nodes above
+    the collar."""
+    c, _ = solve.collar_fit(phi)
+    series = (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
     c0, c1, c2, c3, c4 = series
-    phi = grid.phi.copy()
-    x = grid.t[collar]
-    phi[collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
-    return GridFunction(t=grid.t, phi=phi, series=series)
+    x = solve.t[solve.collar]
+    phi[solve.collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+    return GridFunction(t=solve.t, phi=phi, series=series)
 
 
 def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
@@ -673,38 +654,27 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     of 1e-3 bring the residual evaluations at q = 0.75 after one recursion
     step to 20.  Each evaluation recomputes only what depends on phi (the
     collar fit, the spline table and the kernel sums): the grid's and the
-    kernel's constants come from caches keyed exactly by q and the nodes.
+    kernel's constants are built once, into the solve's
+    :class:`_StationarySolve`.
     """
     _check_q(q)
-    t = grid.t
-    collar = t <= _COLLAR_T_MAX
-    free = (~collar) & (t <= _SOLVE_T_MAX)
-    fidx = np.where(free)[0]
-    start = _set_collar(grid, collar)
-
-    def rebuilt(u: np.ndarray) -> GridFunction:
-        p = start.phi.copy()
-        p[fidx] = u
-        return _set_collar(replace(start, phi=p), collar)
-
-    def objective(u: np.ndarray) -> np.ndarray:
-        return _residual_grid(q, rebuilt(u))[fidx]
-
+    solve = _StationarySolve(q, grid)
+    t, fidx = grid.t, solve.fidx
     try:
         with warnings.catch_warnings():
             # scipy's termination bookkeeping divides by an unset x_rtol
             warnings.simplefilter("ignore", RuntimeWarning)
             sol = newton_krylov(
-                objective,
-                start.phi[fidx],
+                solve.objective,
+                solve.start.phi[fidx],
                 f_tol=1e-11,
                 maxiter=80,
-                inner_M=_banded_preconditioner(q, start, fidx),
+                inner_M=_banded_preconditioner(solve),
                 inner_rtol=_INNER_RTOL,
             )
     except NoConvergence as exc:
         raise ContractViolation(f"stationary solve failed: {exc}") from exc
-    solved = rebuilt(sol)
+    solved = solve.rebuilt(sol)
     phi, series = solved.phi, solved.series
 
     # log-linear tail continuation beyond the solve window
@@ -730,6 +700,7 @@ def stationary_residual(q: float, grid: GridFunction, t_point: float) -> float:
     comes from a five-point centered difference in ln t and the kernel
     integral above the switch angle from adaptive Gauss-Kronrod quadrature.
     """
+    _check_q(q)
     if not grid.t_min <= t_point <= grid.t_max:
         raise ValueError(f"t={t_point} outside grid [{grid.t_min}, {grid.t_max}]")
     ker = _kernel(q)
@@ -767,7 +738,7 @@ def stationary_residual(q: float, grid: GridFunction, t_point: float) -> float:
         )
     m2 = 2.0 * grid.series[2]
     small = ker.small_part(t_point, phi_t, tphip, m2)
-    return analytics.T_of_q(q) * tphip + 0.5 * (val + small)
+    return ker.T * tphip + 0.5 * (val + small)
 
 
 def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
@@ -779,7 +750,7 @@ def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
     """
     if not 1 <= kmax <= 4:
         raise ValueError("kmax must be in 1..4")
-    c, resid = _small_t_fit(grid, (1.0,))
+    c, resid = _SeriesFit(grid.t, (1.0,), 0.0)(grid.phi)
     if resid > 1e-6:
         warnings.warn(
             f"series fit residual {resid:.2e} exceeds 1e-6: ill conditioned",

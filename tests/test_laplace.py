@@ -10,6 +10,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.optimize import NoConvergence
 
+from lmelab import analytics as an
 from lmelab import engine as en
 from lmelab import harness
 from lmelab import laplace as la
@@ -94,8 +95,8 @@ def test_refine_runs_one_newton_solve(grid, monkeypatch):
 def test_refined_collar_is_self_consistent(refined):
     # the collar and the series head are rebuilt inside the solve, so the
     # pinned fit of the result reproduces its own head
-    fit = la._fit_series_pinned(refined)
-    for f, c in zip(fit, refined.series):
+    fit, _ = la._SeriesFit(refined.t, (1.0, -1.0), 0.0)(refined.phi)
+    for f, c in zip((1.0, -1.0, *fit[:3]), refined.series):
         assert abs(f - c) <= 1e-12
 
 
@@ -281,7 +282,8 @@ def starts(grid, exponential_grid, refined):
 def test_outer_evaluator_matches_the_generic_one(starts, start, name):
     g = starts[start]
     m = _multipliers()[name]
-    got = la._outer_evaluator(g)(la._log_grid(g.t).reads(m))
+    lg = la._LogGrid(g.t)
+    got = la._outer_evaluator(lg, g.phi, g.series)(lg.reads(m))
     want = la._evaluator(g)(np.multiply.outer(g.t, m))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -298,7 +300,7 @@ def test_spline_table_is_scipys(starts, start):
     else:
         g = starts[start]
     want = CubicSpline(np.log(g.t), g.phi).c
-    assert np.array_equal(la._log_grid(g.t).spline(g.phi), want)
+    assert np.array_equal(la._LogGrid(g.t).spline(g.phi), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -306,11 +308,7 @@ def test_non_finite_phi_is_rejected(grid, bad):
     phi = grid.phi.copy()
     phi[150] = bad
     with pytest.raises(ValueError, match="finite"):
-        la._residual_grid(0.75, replace(grid, phi=phi))
-
-
-def _free_nodes(g):
-    return np.where((g.t > la._COLLAR_T_MAX) & (g.t <= la._SOLVE_T_MAX))[0]
+        la._residual_grid(la._StationarySolve(0.75, grid), replace(grid, phi=phi))
 
 
 def test_preconditioner_is_solve_banded_to_the_bit(grid, monkeypatch):
@@ -324,10 +322,10 @@ def test_preconditioner_is_solve_banded_to_the_bit(grid, monkeypatch):
         return factor(ab, *args, **kwargs)
 
     monkeypatch.setattr(la, "dgbtrf", recording)
-    fidx = _free_nodes(grid)
-    pre = la._banded_preconditioner(0.75, grid, fidx)
+    solve = la._StationarySolve(0.75, grid)
+    pre = la._banded_preconditioner(solve)
     rng = np.random.default_rng(5)
-    for v in (rng.standard_normal(fidx.size), la._residual_grid(0.75, grid)[fidx]):
+    for v in (rng.standard_normal(solve.fidx.size), la._residual_grid(solve, grid)[solve.fidx]):
         want = solve_banded((la._BAND, la._BAND), bands[0], v)
         assert np.array_equal(pre.matvec(v), want)
 
@@ -358,9 +356,9 @@ def test_singular_preconditioner_raises(grid, monkeypatch):
     ker.weights = np.zeros_like(ker.weights)
     ker.T = ker.g_sing = ker.g_adv = ker.g_cross = ker.g_quad = 0.0
     monkeypatch.setattr(la, "_kernel", lambda q: ker)
-    fidx = _free_nodes(grid)
+    solve = la._StationarySolve(0.75, grid)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        la._banded_preconditioner(0.75, grid, fidx).matvec(np.ones(fidx.size))
+        la._banded_preconditioner(solve).matvec(np.ones(solve.fidx.size))
 
 
 @pytest.mark.parametrize(
@@ -375,30 +373,29 @@ def test_lapack_info_raises(info, error, message):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_preconditioner_rejects_non_finite_vectors(grid, bad):
-    fidx = _free_nodes(grid)
-    v = np.ones(fidx.size)
+    solve = la._StationarySolve(0.75, grid)
+    v = np.ones(solve.fidx.size)
     v[7] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        la._banded_preconditioner(0.75, grid, fidx).matvec(v)
+        la._banded_preconditioner(solve).matvec(v)
 
 
 def test_cached_constants_match_cold_ones():
-    # the phi-free constants are cached by exact q and nodes: runs that
-    # interleave two q and two grids of one size give what each gives from
-    # cold caches
+    # the kernel pieces are cached by exact q and the grid's constants are
+    # built per call: runs that interleave two q and two grids of one size
+    # give what each gives from a cold cache
     t = np.geomspace(1e-3, 1e2, 400)
     other = la.GridFunction(t=t, phi=np.exp(-t), series=(1.0, -1.0, 0.5, -1 / 6, 1 / 24))
     runs = [
         lambda: la.converge_grid(0.75, 0.5),
         lambda: la.converge_grid(0.6, 0.5),
-        lambda: la._residual_grid(0.75, other),
+        lambda: la._residual_grid(la._StationarySolve(0.75, other), other),
         lambda: la.converge_grid(0.75, 0.5),
         lambda: la.iterate_phi(0.75, 0.5, 1, 20, other),
     ]
     warm = [run() for run in runs]
     for run, w in zip(runs, warm):
         la._kernel_cache.clear()
-        la._log_grid_of.cache_clear()
         cold = run()
         if isinstance(w, la.GridFunction):
             assert np.array_equal(cold.phi, w.phi)
@@ -413,14 +410,66 @@ def test_off_log_grid_is_rejected():
     t[200] *= 1.0 + 1e-6  # 2.5e-5 of a grid step
     g = replace(g, t=t)
     with pytest.raises(ValueError, match="uniform in ln t"):
-        la._outer_evaluator(g)
-    free = np.arange(50, 300)
+        la.iterate_phi(0.75, 0.5, 1, 2, g)
     with pytest.raises(ValueError, match="uniform in ln t"):
-        la._banded_preconditioner(0.75, g, free)
+        la.refine_stationary(0.75, g)
+
+
+def test_refine_builds_one_log_grid_per_solve(grid, monkeypatch):
+    # the grid's constants are built once per solve, not per residual
+    # evaluation
+    built = 0
+
+    class Counting(la._LogGrid):
+        def __init__(self, t):
+            nonlocal built
+            built += 1
+            super().__init__(t)
+
+    monkeypatch.setattr(la, "_LogGrid", Counting)
+    la.refine_stationary(0.75, grid)
+    assert built == 1
+
+
+_ENTRY_POINTS = {
+    "iterate_phi": lambda q, g: la.iterate_phi(q, 0.5, 1, 2, g),
+    "refine_stationary": la.refine_stationary,
+    "stationary_residual": lambda q, g: la.stationary_residual(q, g, 1.0),
+}
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_q_outside_the_laplace_range_is_rejected(grid, entry, q):
+    with pytest.raises(ValueError, match=r"q in \(1/2, 1\)"):
+        _ENTRY_POINTS[entry](q, grid)
+
+
+@pytest.mark.parametrize("q", [0.75, 0.9, 0.95])
+def test_spectrum_gives_the_decay_rates(q):
+    # the Jacobian of the stationary solve's objective at its solution has
+    # the real eigenvalues kT(q) - T(kq), k >= 2: the decay rates of the
+    # series coefficients along the recursion.  Measured errors are
+    # 1.0-1.5e-5 (k = 2) and 2.2-2.9e-4 (k = 3).  At q 0.55 and 0.6 a real
+    # mode that matches no k lies among the top two, so q <= 0.6 is not
+    # gated.
+    solve = la._StationarySolve(q, la.converge_grid(q, 0.5))
+    u = solve.start.phi[solve.fidx]
+    step = 1e-7
+    jac = np.empty((u.size, u.size))
+    for j in range(u.size):
+        du = np.zeros(u.size)
+        du[j] = step
+        jac[:, j] = (solve.objective(u + du) - solve.objective(u - du)) / (2.0 * step)
+    eig = np.linalg.eigvals(jac)
+    real = np.sort(eig[eig.imag == 0.0].real)[::-1]
+    for k, value, rtol in ((2, real[0], 1e-4), (3, real[1], 1e-3)):
+        rate = k * an.T_of_q(q) - an.T_of_q(k * q)
+        assert abs(value / rate - 1.0) <= rtol, k
 
 
 def test_oracle_does_not_use_the_outer_evaluator(grid, monkeypatch):
-    def broken(g):
+    def broken(lg, phi, series):
         raise AssertionError("outer evaluator called")
 
     monkeypatch.setattr(la, "_outer_evaluator", broken)
@@ -429,7 +478,7 @@ def test_oracle_does_not_use_the_outer_evaluator(grid, monkeypatch):
     with pytest.raises(AssertionError, match="outer evaluator called"):
         la.iterate_phi(0.75, 0.5, 1, 2, la.make_grid())
     with pytest.raises(AssertionError, match="outer evaluator called"):
-        la._residual_grid(0.75, grid)
+        la._residual_grid(la._StationarySolve(0.75, grid), grid)
 
 
 @pytest.mark.parametrize("init", ["delta", "exponential"])

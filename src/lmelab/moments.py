@@ -6,10 +6,13 @@ The limit law of the normalized ratio has moments M_k(q) obeying
 
 with M_1 = 1 and the pair integral
 
-    I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} t cos^{2qm-2} t dt,
+    I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} t cos^{2qm-2} t dt
+            = (1/4) B(1/2; qj - 1/2, qm - 1/2)
 
-endpoint-singular when qj < 1.  The denominators are positive exactly while
-q is below the threshold q_l (all l for q <= 1); tables truncate there.
+(x = sin^2 t turns it into an incomplete Beta function).  M_l is finite
+exactly while its denominator T(lq) - l T(q) is positive (all l for
+q <= 1, l below the threshold index for q > 1); tables truncate at the
+first non-positive one.
 
 Also here: the factorial growth bound M_k <= C(q)^k k! for q in (1/2, 1),
 and the exact finite-scale moment trajectory E[ratio_n^k] driven by the
@@ -22,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
+from scipy.special import beta, betainc
 
 from . import analytics, theta
 from .errors import ContractViolation
@@ -36,11 +39,6 @@ __all__ = [
     "factorial_bound_constant",
     "moment_trajectory",
 ]
-
-_QUARTER_PI = 0.25 * math.pi
-
-_PAIR_RTOL = 1e-10  # fixed: the pair_integral cache is keyed by (q, j, m)
-_pair_cache: dict[tuple[float, int, int], float] = {}
 
 
 @dataclass(frozen=True)
@@ -65,71 +63,38 @@ class FactorialBound:
     checked_upto: int
 
 
+def _check_args(q: float, kmax: int) -> None:
+    analytics._check_q(q)
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+
+
 def pair_integral(q: float, j: int, m: int) -> float:
     """I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} cos^{2qm-2}.
 
-    The sin power 2qj-2 may dip to -1 (exclusive); the algebraic endpoint
-    weight hands that singularity to the quadrature rule explicitly.
-    Cached by (q, j, m).
+    By x = sin^2 t it is (1/4) B(1/2; qj - 1/2, qm - 1/2), the incomplete
+    Beta function up to x = 1/2; both parameters are positive for q > 1/2,
+    so the sin-side endpoint singularity (qj < 1) costs nothing.
     """
-    if not q > 0.5:
-        raise ValueError(f"q must exceed 1/2, got {q}")
+    analytics._check_q(q)
     if j < 1 or m < 1:
         raise ValueError("j and m must be integers >= 1")
-    key = (float(q), int(j), int(m))
-    if key in _pair_cache:
-        return _pair_cache[key]
-
-    a = 2.0 * q * j - 2.0
-    b = 2.0 * q * m - 2.0
-
-    def cofactor(t: float) -> float:
-        # sin^{a} t = t^{a} * (sin t / t)^{a}; the second factor is smooth
-        if t == 0.0:
-            return 1.0
-        return (math.sin(t) / t) ** a * math.cos(t) ** b
-
-    val, _ = integrate.quad(
-        cofactor,
-        0.0,
-        _QUARTER_PI,
-        weight="alg",
-        wvar=(a, 0.0),
-        epsabs=0.0,
-        epsrel=_PAIR_RTOL,
-        limit=200,
-    )
-    out = 0.5 * val
-    _pair_cache[key] = out
-    return out
-
-
-def _valid_upto(q: float, kmax: int) -> int:
-    if q <= 1.0:
-        return kmax
-    for k in range(2, kmax + 1):
-        if q >= analytics.find_qk(k):
-            return k - 1
-    return kmax
+    a = q * j - 0.5
+    b = q * m - 0.5
+    return float(0.25 * beta(a, b) * betainc(a, b, 0.5))
 
 
 def moment_table(q: float, kmax: int) -> MomentTable:
-    """Fill M_1..M_valid_upto by the recursion; truncate above threshold."""
-    if not q > 0.5:
-        raise ValueError(f"q must exceed 1/2, got {q}")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    upto = _valid_upto(q, kmax)
+    """Fill M_1..M_kmax by the recursion; stop at the first l whose
+    denominator T(lq) - l T(q) is not positive (M_l is infinite there)."""
+    _check_args(q, kmax)
     tq = analytics.T_of_q(q)
     m = [1.0]
     denoms = [analytics.T_of_q(q) - tq]  # 0 by construction for l = 1
-    for l in range(2, upto + 1):
+    for l in range(2, kmax + 1):
         denom = analytics.T_of_q(l * q) - l * tq
         if denom <= 0.0:
-            raise ContractViolation(
-                f"non-positive denominator T({l}q) - {l}T(q) = {denom:.3g} at "
-                f"l={l} <= valid_upto={upto}: threshold table inconsistent"
-            )
+            break
         acc = 0.0
         for j in range(1, l):
             acc += (
@@ -144,9 +109,9 @@ def moment_table(q: float, kmax: int) -> MomentTable:
         q=q,
         kmax=kmax,
         M=tuple(m),
-        valid_upto=upto,
+        valid_upto=len(m),
         denominators=tuple(denoms),
-        truncated=upto < kmax,
+        truncated=len(m) < kmax,
     )
 
 
@@ -178,7 +143,7 @@ def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
             k0 = k
             break
     if k0 is None:
-        raise ContractViolation("no k0 up to 10^4: quadrature suspect")
+        raise ContractViolation("no k0 up to 10^4")
 
     # Moments below k0 set the constant; extend the table if it is short.
     need = max(k0 - 1, table.valid_upto)
@@ -235,6 +200,9 @@ def moment_trajectory(
     whose denominator is not positive (q at or above the threshold q_k) are
     still propagated; they simply do not converge.
     """
+    _check_args(q, kmax)
+    if not b > 0.0:
+        raise ValueError(f"b must be positive, got {b}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max == 1:

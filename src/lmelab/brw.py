@@ -16,12 +16,12 @@ Everything here runs both as a resampling pool (any depth) and as an
 explicit 2^depth-leaf tree (depth <= 20), the latter serving as the
 small-depth oracle for the former.
 
-A pool carries only the arrays its mode evolves (see :class:`BrwPool`):
-the cascade M, the derivative M and D, the maximum X_max alone.  A step
-never writes to its input pool, so while it runs it holds the old and the
-new of each evolved array, 8 bytes x replicas each: 16 MiB for a cascade
-or maximum step at 2^20 replicas, 32 MiB for a derivative step.  Each lane
-adds a few chunk-sized buffers, in which the kernels compute in place.
+A step takes and returns the arrays it evolves (the cascade M, the
+derivative M and D, the maximum X_max), and :class:`BrwPool` is only a
+run's final record.  A step never writes to its input arrays, so it holds
+the old and the new of each, 8 bytes x replicas each: 16 MiB for a
+cascade or maximum step at 2^20 replicas, 32 MiB for a derivative step.
+Each lane adds a few chunk-sized buffers, in which the kernels compute.
 
 A pool step derives one stream per replica block on the calling thread
 and hands its loop body to ``engine.map_chunks``, which runs the blocks on
@@ -47,14 +47,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import _BLOCKS, block_mean_se, map_chunks, ols
+from .engine import _BLOCKS, block_mean_se, map_chunks, mix_pairs, ols
 from .streams import DOMAIN_BRW, derive_stream
 
 __all__ = [
     "BETA_C",
     "BrwParams",
     "BrwPool",
-    "init_pool",
     "step_cascade",
     "step_derivative",
     "step_max",
@@ -112,9 +111,9 @@ class BrwParams:
 
 @dataclass
 class BrwPool:
-    """Replica ensemble at depth ``n``, carrying only the arrays its mode
-    evolves: a cascade pool ``M_values``, a derivative pool ``M_values``
-    and ``D_values``, a maximum pool ``X_max_values``; the others are None.
+    """A run's final record: the replica arrays its mode evolved, at depth
+    ``n``.  The cascade sets ``M_values``, the derivative ``M_values`` and
+    ``D_values``, the maximum ``X_max_values``; the others are None.
     """
 
     n: int
@@ -143,19 +142,6 @@ def _median(x: np.ndarray) -> float:
     return float((part[:k].max() + part[k]) / 2)
 
 
-def init_pool(params: BrwParams, *, derivative: bool = False, track_max: bool = False) -> BrwPool:
-    """The depth-0 pool of one mode: M = 1 for the cascade; M = 1 and D = 0
-    with ``derivative`` (for :func:`step_derivative`); X_max = 0 alone with
-    ``track_max`` (for :func:`step_max`).  No step evolves D and X_max
-    together, so asking for both raises ``ValueError``."""
-    if derivative and track_max:
-        raise ValueError("a pool carries derivative or maximum values, not both")
-    p = params.replicas
-    if track_max:
-        return BrwPool(n=0, X_max_values=np.zeros(p))
-    return BrwPool(n=0, M_values=np.ones(p), D_values=np.zeros(p) if derivative else None)
-
-
 def _block_rngs(params: BrwParams, step_index: int):
     return [
         derive_stream(params.seed, (DOMAIN_BRW, step_index, k))
@@ -163,19 +149,9 @@ def _block_rngs(params: BrwParams, step_index: int):
     ]
 
 
-def _require(pool: BrwPool, *names: str) -> None:
-    missing = [name for name in names if getattr(pool, name) is None]
-    if missing:
-        raise ValueError(f"pool does not carry {' and '.join(missing)}")
-
-
-# The kernels compute in their chunk's buffers: one buffer per drawn
-# variable, updated with out= ufuncs and np.take(..., out=) straight into
-# the chunk's slice of the output, in the operation order of the
-# docstring formula.  Each expression temporary would otherwise be a fresh
-# chunk-sized array per lane.  The parent indices are in range by
-# construction, so np.take runs in "clip" mode: with out= and the default
-# "raise" it copies through one more temporary.
+# The derivative and max kernels compute in their chunk's buffers as
+# engine.mix_pairs does, for the reasons it gives, in the operation order
+# of the docstring formula.
 def _weight(z: np.ndarray, beta: float, shift: float) -> np.ndarray:
     """(1/2) e^{beta z + shift}, computed in z."""
     z *= beta
@@ -185,36 +161,27 @@ def _weight(z: np.ndarray, beta: float, shift: float) -> np.ndarray:
     return z
 
 
-def step_cascade(pool: BrwPool, beta: float, rngs) -> BrwPool:
+def step_cascade(m: np.ndarray, beta: float, rngs) -> np.ndarray:
     """M' = (1/2) e^{beta V1 - beta^2/2} M[i] + (1/2) e^{beta V2 - beta^2/2} M[j],
     parents resampled with replacement within each replica block."""
-    _require(pool, "M_values")
     shift = -0.5 * beta * beta
-    m = pool.M_values
     out = np.empty_like(m)
 
     def mix(sl, i, j, rng):
         a1 = _weight(rng.standard_normal(i.size), beta, shift)
         a2 = _weight(rng.standard_normal(i.size), beta, shift)
-        o = out[sl]
-        np.take(m, i, out=o, mode="clip")
-        o *= a1
-        np.take(m, j, out=a1, mode="clip")
-        a1 *= a2
-        o += a1
+        mix_pairs(out[sl], m, i, j, a1, a2)
 
     map_chunks(m.size, rngs, mix)
-    return BrwPool(n=pool.n + 1, M_values=out)
+    return out
 
 
-def step_derivative(pool: BrwPool, rngs) -> BrwPool:
+def step_derivative(m: np.ndarray, d: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Joint step of (M, D) at beta_c with shared draws:
     D' = sum_i A_i [(beta_c - V_i) M^(i) + D^(i)], A_i the cascade weights.
     Sharing the normals and the resampled indices between the M and D
     updates is what keeps the pair a sample of the joint law."""
-    _require(pool, "M_values", "D_values")
     shift = -0.5 * BETA_C * BETA_C
-    m, d = pool.M_values, pool.D_values
     out_m, out_d = np.empty_like(m), np.empty_like(d)
 
     def mix(sl, i, j, rng):
@@ -243,13 +210,11 @@ def step_derivative(pool: BrwPool, rngs) -> BrwPool:
         np.add(v1, v2, out=od)
 
     map_chunks(m.size, rngs, mix)
-    return BrwPool(n=pool.n + 1, M_values=out_m, D_values=out_d)
+    return out_m, out_d
 
 
-def step_max(pool: BrwPool, rngs) -> BrwPool:
+def step_max(x: np.ndarray, rngs) -> np.ndarray:
     """X' = max(V1 + X[i], V2 + X[j])."""
-    _require(pool, "X_max_values")
-    x = pool.X_max_values
     out = np.empty_like(x)
 
     def mix(sl, i, j, rng):
@@ -263,29 +228,25 @@ def step_max(pool: BrwPool, rngs) -> BrwPool:
         np.maximum(x1, x2, out=o)
 
     map_chunks(x.size, rngs, mix)
-    return BrwPool(n=pool.n + 1, X_max_values=out)
+    return out
 
 
 def run_cascade(params: BrwParams) -> dict:
     """Cascade to the requested depth; per-depth mean, SE, median, E[M^2]."""
-    pool = init_pool(params)
+    m = np.ones(params.replicas)
     rec = {"n": [], "mean": [], "se": [], "median": [], "m2": [], "m2_se": []}
-
-    def note(pool):
-        mean, se = block_mean_se(pool.M_values)
-        rec["n"].append(pool.n)
+    for n in range(params.depth + 1):
+        if n:
+            m = step_cascade(m, params.beta, _block_rngs(params, n - 1))
+        mean, se = block_mean_se(m)
+        rec["n"].append(n)
         rec["mean"].append(mean)
         rec["se"].append(se)
-        rec["median"].append(_median(pool.M_values))
-        m2, m2_se = block_mean_se(pool.M_values**2)
+        rec["median"].append(_median(m))
+        m2, m2_se = block_mean_se(m**2)
         rec["m2"].append(m2)
         rec["m2_se"].append(m2_se)
-
-    note(pool)
-    for step_index in range(params.depth):
-        pool = step_cascade(pool, params.beta, _block_rngs(params, step_index))
-        note(pool)
-    rec["final_pool"] = pool
+    rec["final_pool"] = BrwPool(n=params.depth, M_values=m)
     return rec
 
 
@@ -293,19 +254,19 @@ def run_derivative(params: BrwParams) -> dict:
     """Paired (M, D) trajectory at beta_c: D has mean zero at every depth
     and an almost-surely positive limit visible through its median.  The
     run is at ``BETA_C`` whatever ``params.beta`` holds."""
-    pool = init_pool(params, derivative=True)
+    m, d = np.ones(params.replicas), np.zeros(params.replicas)
     rec = {"n": [], "d_mean": [], "d_se": [], "d_median": [], "m_mean": [], "m_se": []}
-    for step_index in range(params.depth):
-        pool = step_derivative(pool, _block_rngs(params, step_index))
-        d_mean, d_se = block_mean_se(pool.D_values)
-        m_mean, m_se = block_mean_se(pool.M_values)
-        rec["n"].append(pool.n)
+    for n in range(1, params.depth + 1):
+        m, d = step_derivative(m, d, _block_rngs(params, n - 1))
+        d_mean, d_se = block_mean_se(d)
+        m_mean, m_se = block_mean_se(m)
+        rec["n"].append(n)
         rec["d_mean"].append(d_mean)
         rec["d_se"].append(d_se)
-        rec["d_median"].append(_median(pool.D_values))
+        rec["d_median"].append(_median(d))
         rec["m_mean"].append(m_mean)
         rec["m_se"].append(m_se)
-    rec["final_pool"] = pool
+    rec["final_pool"] = BrwPool(n=params.depth, M_values=m, D_values=d)
     return rec
 
 
@@ -324,13 +285,13 @@ def run_max(params: BrwParams) -> dict:
         coef, se, _ = ols(design, y)
         return float(coef[1]) if np.isfinite(se).all() else math.nan
 
-    pool = init_pool(params, track_max=True)
+    x = np.zeros(params.replicas)
     ns, medians = [], []
-    for step_index in range(params.depth):
-        pool = step_max(pool, _block_rngs(params, step_index))
-        if pool.n >= 10:
-            ns.append(pool.n)
-            medians.append(_median(pool.X_max_values))
+    for n in range(1, params.depth + 1):
+        x = step_max(x, _block_rngs(params, n - 1))
+        if n >= 10:
+            ns.append(n)
+            medians.append(_median(x))
     ns_arr = np.array(ns, dtype=float)
     med = np.array(medians)
     design = np.vstack([np.ones_like(ns_arr), ns_arr, np.log(ns_arr)]).T
@@ -340,7 +301,7 @@ def run_max(params: BrwParams) -> dict:
         "median": medians,
         "slope": coefficient(design, med),
         "log_coefficient": coefficient(design2, med - BETA_C * ns_arr),
-        "final_pool": pool,
+        "final_pool": BrwPool(n=params.depth, X_max_values=x),
     }
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _checkpoints
+from .engine import _check_distinct, _checkpoints
 from .errors import ContractViolation
 from .streams import DOMAIN_CHAIN, derive_stream
 
@@ -107,6 +107,7 @@ class RgParams:
         _check_size(self.N)
         _check_a(self.a)
         _check_n_max(self.N, self.n_max)
+        _check_distinct(self.q_list)
         if not self.b > 0:
             raise ValueError("b must be positive")
         if self.replicas < 1:

@@ -45,6 +45,7 @@ __all__ = [
     "exact_Tn",
     "init_pool",
     "map_chunks",
+    "mix_pairs",
     "block_mean_se",
     "step",
     "run",
@@ -90,6 +91,13 @@ def _check_pool_size(pool_size: int) -> None:
         raise ValueError(f"pool_size {pool_size} not divisible by {_BLOCKS} blocks")
 
 
+def _check_distinct(values) -> None:
+    # each value keys a run's record (lme powers, chain q's): a repeat
+    # would record it twice
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in {tuple(values)}")
+
+
 @dataclass(frozen=True)
 class LmeParams:
     """Pool evolution parameters; mirrors the simulate-lme config."""
@@ -109,6 +117,7 @@ class LmeParams:
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         _check_pool_size(self.pool_size)
+        _check_distinct(self.track_powers)
 
 
 @dataclass
@@ -237,6 +246,18 @@ def map_chunks(size: int, rngs, kernel) -> None:
         f.result()
 
 
+def mix_pairs(out, x, i, j, a1, a2) -> None:
+    """out = a1 x[i] + a2 x[j], the lme and brw pools' pair update, in the
+    chunk buffers ``out`` and ``a1`` (overwritten) rather than chunk-sized
+    temporaries.  The indices are in range, so ``np.take`` runs in "clip"
+    mode: with out= the default "raise" copies through a temporary."""
+    np.take(x, i, out=out, mode="clip")
+    out *= a1
+    np.take(x, j, out=a1, mode="clip")
+    a1 *= a2
+    out += a1
+
+
 def block_mean_se(values: np.ndarray) -> tuple[float, float]:
     """Mean of the ``_BLOCKS`` block means of ``values``, and its standard
     error from their spread across independent blocks."""
@@ -258,7 +279,10 @@ def step(pool: SamplePool, params: LmeParams) -> SamplePool:
 
     def mix(sl, i, j, rng):
         sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
-        out[sl] = (sin2**q * v[i] + cos2**q * v[j]) / t_n
+        sin2 **= q
+        cos2 **= q
+        mix_pairs(out[sl], v, i, j, sin2, cos2)
+        out[sl] /= t_n
 
     map_chunks(v.size, rngs, mix)
     return SamplePool(n=pool.n + 1, values=out, logZ=pool.logZ + math.log(t_n))

@@ -2,13 +2,15 @@
 
 Configs are flat UTF-8 key=value documents ('#' comments allowed); which
 keys are legal depends on the subcommand, and unknown, duplicate,
-mistyped or out-of-range keys are rejected with a ``ConfigError`` that
-names the key.  Range checks reuse each entry point's own validators.
-Missing optional keys take the schema's default, which equals the entry
-point's own default wherever it has one.
+mistyped, non-finite or out-of-range keys are rejected with a
+``ConfigError`` that names the key.  Range checks reuse each entry point's
+own validators.  Missing optional keys take the schema's default, which
+equals the entry point's own default wherever it has one.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import analytics, brw, chain, engine, laplace, prbm, streams
 from .errors import ConfigError
@@ -16,8 +18,15 @@ from .errors import ConfigError
 __all__ = ["SCHEMAS", "parse_config"]
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return tuple(_float(x) for x in text.split(",") if x.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -59,16 +68,18 @@ _SEED = _checked("seed", streams._check_seed)
 
 SCHEMAS: dict[str, dict] = {
     "simulate-lme": {
-        "q": (float, _REQUIRED, _checked("q", analytics._check_q)),
-        "b": (float, _REQUIRED, _checked("b", _positive)),
+        "q": (_float, _REQUIRED, _checked("q", analytics._check_q)),
+        "b": (_float, _REQUIRED, _checked("b", _positive)),
         "n_max": (int, 10_000, _checked("n_max", _positive)),
         "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
         "seed": (int, 0, _SEED),
-        "track_powers": (_float_list, (2.0, 3.0), None),
+        "track_powers": (
+            _float_list, (2.0, 3.0), _checked("track_powers", engine._check_distinct)
+        ),
     },
     "laplace": {
-        "q": (float, 0.75, _checked("q", laplace._check_q)),
-        "b": (float, 0.5, _checked("b", _positive)),
+        "q": (_float, 0.75, _checked("q", laplace._check_q)),
+        "b": (_float, 0.5, _checked("b", _positive)),
         "init": (str, "delta", _checked("init", laplace._check_init)),
         # scales of the recursion-only route (refine = false); with refine
         # the stationary solve starts from one recursion step, since its
@@ -80,17 +91,17 @@ SCHEMAS: dict[str, dict] = {
         "mode": (str, "cascade", _checked("mode", brw._check_mode)),
         # read by the cascade alone: derivative runs at brw.BETA_C and max
         # takes no beta, yet every mode accepts the key
-        "beta": (float, 0.8326, _checked("beta", _positive)),
+        "beta": (_float, 0.8326, _checked("beta", _positive)),
         "depth": (int, 40, _checked("depth", brw._check_depth)),
         "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),
         "seed": (int, 0, _SEED),
     },
     "rg-chain": {
         "N": (int, 4096, _checked("N", chain._check_size)),
-        "b": (float, 0.3, _checked("b", _positive)),
-        "a": (float, 0.4, _checked("a", chain._check_a)),
+        "b": (_float, 0.3, _checked("b", _positive)),
+        "a": (_float, 0.4, _checked("a", chain._check_a)),
         "n_max": (int, 100, _checked("n_max", _positive)),
-        "q_list": (_float_list, (0.75, 2.0), None),
+        "q_list": (_float_list, (0.75, 2.0), _checked("q_list", engine._check_distinct)),
         "seed": (int, 0, _SEED),
         "replicas": (int, 1, _checked("replicas", _positive)),
     },
@@ -100,8 +111,8 @@ SCHEMAS: dict[str, dict] = {
             (256, 512, 1024, 2048),
             _checked("N_list", prbm._check_sizes, prbm._check_fit_sizes),
         ),
-        "b": (float, 0.1, _checked("b", _positive)),
-        "q": (float, 2.0, _checked("q", _positive)),
+        "b": (_float, 0.1, _checked("b", _positive)),
+        "q": (_float, 2.0, _checked("q", _positive)),
         "realizations": (int, 20, _checked("realizations", _positive)),
         "seed": (int, 0, _SEED),
     },

@@ -19,20 +19,20 @@ def rngs_for(params, step):
 class TestCascade:
     def test_beta_zero_is_identity(self):
         params = brw.BrwParams(beta=0.0, depth=10, replicas=3200, seed=1)
-        pool = brw.init_pool(params)
+        m = np.ones(params.replicas)
         for k in range(10):
-            pool = brw.step_cascade(pool, 0.0, rngs_for(params, k))
-        assert np.allclose(pool.M_values, 1.0, atol=1e-15)
+            m = brw.step_cascade(m, 0.0, rngs_for(params, k))
+        assert np.allclose(m, 1.0, atol=1e-15)
 
     def test_parents_stay_in_their_block(self):
         # at beta = 0 both weights are exactly 1/2, so a block filled with
         # k stays exactly at k only if both parents come from it
         params = brw.BrwParams(beta=0.0, depth=5, replicas=3200, seed=1)
         labels = np.repeat(np.arange(params.blocks, dtype=float), 100)
-        pool = brw.BrwPool(n=0, M_values=labels)
+        m = labels
         for k in range(params.depth):
-            pool = brw.step_cascade(pool, 0.0, rngs_for(params, k))
-        assert np.array_equal(pool.M_values, labels)
+            m = brw.step_cascade(m, 0.0, rngs_for(params, k))
+        assert np.array_equal(m, labels)
 
     @pytest.mark.parametrize("beta", [0.5 * brw.BETA_C, brw.BETA_C, 1.2 * brw.BETA_C])
     def test_martingale_mean(self, beta):
@@ -101,10 +101,9 @@ class TestDerivative:
 class TestMax:
     def test_first_step_mean_of_two_normals(self):
         params = brw.BrwParams(beta=1.0, depth=1, replicas=256_000, seed=4)
-        pool = brw.init_pool(params, track_max=True)
-        pool = brw.step_max(pool, rngs_for(params, 0))
-        se = pool.X_max_values.std() / math.sqrt(pool.X_max_values.size)
-        assert abs(pool.X_max_values.mean() - 1.0 / math.sqrt(math.pi)) <= 3.0 * se
+        x = brw.step_max(np.zeros(params.replicas), rngs_for(params, 0))
+        se = x.std() / math.sqrt(x.size)
+        assert abs(x.mean() - 1.0 / math.sqrt(math.pi)) <= 3.0 * se
 
     @pytest.mark.parametrize(
         "depth, slope_fitted, log_fitted", [(5, False, False), (10, False, False), (11, False, True), (12, True, True)]
@@ -161,10 +160,11 @@ RUNS = {
     "derivative": (brw.run_derivative, brw.BETA_C),
     "max": (brw.run_max, 1.0),
 }
+# each mode's step as a map from the tuple of its arrays to the new tuple
 STEPS = {
-    "cascade": lambda pool, rngs: brw.step_cascade(pool, 0.5 * brw.BETA_C, rngs),
+    "cascade": lambda m, rngs: (brw.step_cascade(m, 0.5 * brw.BETA_C, rngs),),
     "derivative": brw.step_derivative,
-    "max": brw.step_max,
+    "max": lambda x, rngs: (brw.step_max(x, rngs),),
 }
 
 
@@ -201,13 +201,16 @@ class TestMedian:
         assert rec[key][-1] == float(np.median(pool))
 
 
-def mode_pool(mode, params):
-    return brw.init_pool(params, derivative=mode == "derivative", track_max=mode == "max")
+def start_arrays(mode, params):
+    """The depth-0 arrays of a mode's step: M = 1, D = 0, X_max = 0."""
+    p = params.replicas
+    return {"cascade": (np.ones(p),), "derivative": (np.ones(p), np.zeros(p)),
+            "max": (np.zeros(p),)}[mode]
 
 
 class TestPoolArrays:
-    """A pool carries only the arrays its mode evolves, and each step is
-    its docstring formula over the ``_block_rngs`` streams."""
+    """A run's final pool carries only the arrays its mode evolves, and
+    each step is its docstring formula over the ``_block_rngs`` streams."""
 
     EVOLVED = {
         "cascade": ("M_values",),
@@ -215,35 +218,14 @@ class TestPoolArrays:
         "max": ("X_max_values",),
     }
 
-    MISSING = [
-        ("cascade", "max", "M_values"),
-        ("derivative", "cascade", "D_values"),
-        ("derivative", "max", "M_values and D_values"),
-        ("max", "cascade", "X_max_values"),
-        ("max", "derivative", "X_max_values"),
-    ]
-
-    @pytest.mark.parametrize(
-        "step, pool, missing", MISSING, ids=[f"{step}-{pool}" for step, pool, _ in MISSING]
-    )
-    def test_step_requires_the_arrays_it_evolves(self, step, pool, missing):
-        params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
-        with pytest.raises(ValueError, match=f"does not carry {missing}$"):
-            STEPS[step](mode_pool(pool, params), rngs_for(params, 0))
-
-    def test_derivative_and_max_pool_is_rejected(self):
-        params = brw.BrwParams(beta=1.0, depth=2, replicas=3200)
-        with pytest.raises(ValueError):
-            brw.init_pool(params, derivative=True, track_max=True)
-
     @pytest.mark.parametrize("mode", sorted(RUNS))
     def test_pools_carry_only_the_evolved_arrays(self, mode):
         run, beta = RUNS[mode]
         params = brw.BrwParams(beta=beta, depth=2, replicas=3200)
-        for pool in (mode_pool(mode, params), run(params)["final_pool"]):
-            carried = {name for name in ("M_values", "D_values", "X_max_values")
-                       if getattr(pool, name) is not None}
-            assert carried == set(self.EVOLVED[mode])
+        pool = run(params)["final_pool"]
+        carried = {name for name in ("M_values", "D_values", "X_max_values")
+                   if getattr(pool, name) is not None}
+        assert carried == set(self.EVOLVED[mode])
 
     def test_max_run_peak_memory_is_two_pools(self, chunk_workers, traced_peak):
         # a max step holds the old and the new X_max plus one lane's chunk
@@ -259,15 +241,15 @@ class TestPoolArrays:
         params = brw.BrwParams(beta=1.0, depth=1, replicas=3200, seed=6)
         p = params.replicas // params.blocks
         draw = derive_stream(6, (DOMAIN_TEST, 7))
-        start = brw.BrwPool(n=3, **{
+        start = {
             name: draw.lognormal(size=params.replicas) if name == "M_values"
             else draw.standard_normal(params.replicas)
             for name in self.EVOLVED[mode]
-        })
-        kept = {name: getattr(start, name).copy() for name in self.EVOLVED[mode]}
-        got = STEPS[mode](start, rngs_for(params, 0))
+        }
+        kept = {name: values.copy() for name, values in start.items()}
+        got = STEPS[mode](*start.values(), rngs_for(params, 0))
 
-        m, d, x = start.M_values, start.D_values, start.X_max_values
+        m, d, x = (start.get(name) for name in ("M_values", "D_values", "X_max_values"))
         _, beta = RUNS[mode]  # the beta of STEPS[mode]
         want = {name: [] for name in self.EVOLVED[mode]}
         for k, rng in enumerate(rngs_for(params, 0)):
@@ -285,10 +267,10 @@ class TestPoolArrays:
                 want["D_values"].append(
                     a1 * ((beta - v1) * m[i] + d[i]) + a2 * ((beta - v2) * m[j] + d[j])
                 )
-        assert got.n == 4
-        for name, blocks in want.items():
-            assert np.array_equal(getattr(got, name), np.concatenate(blocks))
-            assert np.array_equal(getattr(start, name), kept[name])  # input untouched
+        assert len(got) == len(want)
+        for values, (name, blocks) in zip(got, want.items()):
+            assert np.array_equal(values, np.concatenate(blocks))
+            assert np.array_equal(start[name], kept[name])  # input untouched
 
 
 def assert_same_pools(a, b):
@@ -332,19 +314,21 @@ class TestThreadedBlocks:
         # of four blocks
         params = brw.BrwParams(beta=1.0, depth=3, replicas=64_000, seed=9)
         assert engine._CHUNK // 2000 == 4
-        start = mode_pool(mode, params)
+        start = start_arrays(mode, params)
 
         def walk():
-            pool = start
+            arrays = start
             for k in range(params.depth):
                 rngs = [derive_stream(params.seed, (DOMAIN_TEST, k, g)) for g in range(4)]
-                pool = STEPS[mode](pool, rngs)
-            return pool
+                arrays = STEPS[mode](*arrays, rngs)
+            return arrays
 
         chunk_workers(1)
         one = walk()
         chunk_workers(3)
-        assert_same_pools(one, walk())
+        three = walk()
+        assert len(one) == len(three)
+        assert all(np.array_equal(x, y) for x, y in zip(one, three))
 
     def test_streams_are_derived_on_the_calling_thread(self, monkeypatch, chunk_workers):
         chunk_workers(3)

@@ -168,6 +168,29 @@ class TestStep:
                 pool = en.step(pool, params)
             assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
 
+    def test_one_step_is_the_docstring_formula(self):
+        # one chunk of 32 blocks of 100 draws i, then j, then the angles
+        # from the scale's stream
+        params = en.LmeParams(q=0.75, b=0.5, n_max=10, pool_size=3200, seed=6)
+        n = 3
+        start = en.SamplePool(
+            n=n, values=derive_stream(6, (DOMAIN_TEST, 8)).lognormal(size=3200), logZ=0.25
+        )
+        kept = start.values.copy()
+        got = en.step(start, params)
+
+        rng = derive_stream(params.seed, (DOMAIN_LME, n))
+        offsets = np.arange(0, 3200, 100)[:, None]
+        i = (rng.integers(0, 100, (32, 100)) + offsets).ravel()
+        j = (rng.integers(0, 100, (32, 100)) + offsets).ravel()
+        sin2, cos2 = th.sample_sin2_cos2(th.ThetaLaw(params.b / n), rng, 3200)
+        q, x = params.q, start.values
+        t_n = en.exact_Tn(q, params.b / n)
+        assert np.array_equal(got.values, (sin2**q * x[i] + cos2**q * x[j]) / t_n)
+        assert got.n == n + 1
+        assert got.logZ == start.logZ + math.log(t_n)
+        assert np.array_equal(start.values, kept)  # input untouched
+
 
 class TestMapChunks:
     def test_worker_error_reaches_caller_once_every_lane_is_done(

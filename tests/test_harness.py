@@ -48,6 +48,17 @@ def test_defaults_applied():
         ("simulate-lme", "q = 0.75\nb = 0\n", "b"),
         ("prbm", "realizations = 0\n", "realizations"),
         ("laplace", "n_schedule = 0\n", "n_schedule"),
+        ("simulate-lme", BASE + "track_powers = 2,2\n", "track_powers"),
+        ("rg-chain", "q_list = 2,2\n", "q_list"),
+        ("simulate-lme", "q = 0.75\nb = inf\n", "b"),
+        ("laplace", "b = inf\n", "b"),
+        ("rg-chain", "b = inf\n", "b"),
+        ("prbm", "b = inf\n", "b"),
+        ("simulate-lme", "q = inf\nb = 0.5\n", "q"),
+        ("prbm", "q = inf\n", "q"),
+        ("brw", "beta = inf\n", "beta"),
+        ("simulate-lme", BASE + "track_powers = 2,nan\n", "track_powers"),
+        ("rg-chain", "q_list = 0.75,nan\n", "q_list"),
     ],
     ids=[
         "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
@@ -58,11 +69,28 @@ def test_defaults_applied():
         "prbm-two-sizes", "prbm-repeated-size", "rg-chain-n_max-above-half-N",
         "brw-seed-above-64-bits", "lme-q-below-half", "lme-b-zero",
         "prbm-realizations-zero", "laplace-n_schedule-zero",
+        "lme-repeated-track-power", "rg-chain-repeated-q", "lme-b-inf",
+        "laplace-b-inf", "rg-chain-b-inf", "prbm-b-inf", "lme-q-inf",
+        "prbm-q-inf", "brw-beta-inf", "lme-track-power-nan", "rg-chain-q-nan",
     ],
 )
 def test_rejections_name_the_key(subcommand, text, key):
     with pytest.raises(ConfigError, match=f"'{key}'"):
         harness.parse_config(text, subcommand)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: engine.LmeParams(q=0.75, b=0.5, n_max=10, track_powers=(2.0, 2.0)),
+        lambda: chain.RgParams(N=256, b=0.3, n_max=10, q_list=(2.0, 2.0)),
+    ],
+    ids=["LmeParams", "RgParams"],
+)
+def test_records_keyed_by_power_reject_repeats(make):
+    # each power keys one list of the run's record
+    with pytest.raises(ValueError, match="repeated"):
+        make()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """lmelab: numerical laboratory for a scale-dependent weighted branching
 recursion of inverse participation ratios.
 
-Subpackages are organized by what they compute:
+Modules are organized by what they compute:
 
 * :mod:`lmelab.analytics` - closed-form exponents T(q), H(q), q_c, p*(q), h, d(q)
 * :mod:`lmelab.theta` - exact law of the resonance mixing angle
@@ -12,6 +12,8 @@ Subpackages are organized by what they compute:
 * :mod:`lmelab.chain` - renormalization flow on a periodic chain
 * :mod:`lmelab.prbm` - power-law random band matrix ensemble
 * :mod:`lmelab.harness` - config parsing
+* :mod:`lmelab.streams` - keyed random streams
+* :mod:`lmelab.errors` - exception types and the shared argument checks
 """
 
 __version__ = "0.1.0"

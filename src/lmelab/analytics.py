@@ -31,7 +31,7 @@ from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import digamma, gammaln, gammasgn, rgamma
 
-from .errors import ContractViolation
+from .errors import ContractViolation, _check_ge0, _check_q
 
 __all__ = [
     "UNBOUNDED",
@@ -61,11 +61,6 @@ class _Unbounded:
 
 #: Distinguished "no finite moment boundary" value returned by :func:`p_star`.
 UNBOUNDED = _Unbounded()
-
-
-def _check_q(q: float) -> None:
-    if not q > 0.5:
-        raise ValueError(f"q must exceed 1/2, got {q}")
 
 
 def T_of_q(q: float) -> float:
@@ -232,6 +227,5 @@ def h_exponent(q: float) -> float:
 def d_of_q(q: float, b: float) -> float:
     """Multifractal dimension ``d(q) = b T(q)/(q-1) = b (sqrt(pi)/2) Gamma(q-1/2)/Gamma(q)``."""
     _check_q(q)
-    if b < 0:
-        raise ValueError(f"coupling b must be >= 0, got {b}")
+    _check_ge0("b", b)
     return b * 0.5 * _SQRT_PI * math.exp(gammaln(q - 0.5)) * float(rgamma(q))

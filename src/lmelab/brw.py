@@ -48,7 +48,8 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import _BLOCKS, block_mean_se, map_chunks, mix_pairs, ols
-from .streams import DOMAIN_BRW, derive_stream
+from .errors import _check_ge0
+from .streams import DOMAIN_BRW, _check_seed, derive_stream
 
 __all__ = [
     "BETA_C",
@@ -76,7 +77,7 @@ _TREE_DEPTH_CAP = 20
 
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; use one of {', '.join(_MODES)}")
+        raise ValueError(f"mode must be one of {', '.join(_MODES)}, got {mode!r}")
 
 
 def _check_depth(depth: int) -> None:
@@ -94,8 +95,8 @@ class BrwParams:
     """One brw run of ``replicas`` in ``blocks`` independent replica blocks;
     ``blocks`` is the fixed ``engine._BLOCKS``, not a constructor argument.
 
-    Only the cascade reads ``beta``: the derivative runs at ``BETA_C``, and
-    the maximum recursion takes no beta.
+    ``beta`` is finite and >= 0, and only the cascade reads it: the
+    derivative runs at ``BETA_C``, and the maximum recursion takes no beta.
     """
 
     beta: float
@@ -105,8 +106,10 @@ class BrwParams:
     blocks: ClassVar[int] = _BLOCKS
 
     def __post_init__(self):
+        _check_ge0("beta", self.beta)
         _check_depth(self.depth)
         _check_replicas(self.replicas)
+        _check_seed(self.seed)
 
 
 @dataclass

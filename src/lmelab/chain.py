@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _check_distinct, _checkpoints
-from .errors import ContractViolation
-from .streams import DOMAIN_CHAIN, derive_stream
+from .engine import _checkpoints
+from .errors import ContractViolation, _check_count, _check_distinct, _check_gt0
+from .streams import DOMAIN_CHAIN, _check_seed, derive_stream
 
 __all__ = [
     "MAX_N",
@@ -83,12 +83,11 @@ def _check_size(N: int) -> None:
 
 def _check_a(a: float) -> None:
     if not 0.0 < a < 0.5:
-        raise ValueError(f"resonance exponent a must lie in (0, 1/2), got {a}")
+        raise ValueError(f"a must lie in (0, 1/2), got {a}")
 
 
 def _check_n_max(N: int, n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_count("n_max", n_max)
     if n_max > N // 2:
         raise ValueError(f"n_max must not exceed N/2 = {N // 2}, got {n_max}")
 
@@ -107,11 +106,10 @@ class RgParams:
         _check_size(self.N)
         _check_a(self.a)
         _check_n_max(self.N, self.n_max)
-        _check_distinct(self.q_list)
-        if not self.b > 0:
-            raise ValueError("b must be positive")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be at least 1, got {self.replicas}")
+        _check_distinct("q_list", self.q_list)
+        _check_gt0("b", self.b)
+        _check_seed(self.seed)
+        _check_count("replicas", self.replicas)
 
 
 @dataclass(slots=True)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theta
-from .streams import DOMAIN_LME, derive_stream
+from .errors import _check_count, _check_distinct, _check_gt0, _check_q
+from .streams import DOMAIN_LME, _check_seed, derive_stream
 
 __all__ = [
     "LmeParams",
@@ -91,13 +92,6 @@ def _check_pool_size(pool_size: int) -> None:
         raise ValueError(f"pool_size {pool_size} not divisible by {_BLOCKS} blocks")
 
 
-def _check_distinct(values) -> None:
-    # each value keys a run's record (lme powers, chain q's): a repeat
-    # would record it twice
-    if len(set(values)) < len(values):
-        raise ValueError(f"repeated value in {tuple(values)}")
-
-
 @dataclass(frozen=True)
 class LmeParams:
     """Pool evolution parameters; mirrors the simulate-lme config."""
@@ -110,14 +104,12 @@ class LmeParams:
     track_powers: tuple[float, ...] = (2.0, 3.0)
 
     def __post_init__(self):
-        if not self.q > 0.5:
-            raise ValueError(f"q must exceed 1/2, got {self.q}")
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        _check_q(self.q)
+        _check_gt0("b", self.b)
+        _check_count("n_max", self.n_max)
         _check_pool_size(self.pool_size)
-        _check_distinct(self.track_powers)
+        _check_seed(self.seed)
+        _check_distinct("track_powers", self.track_powers)
 
 
 @dataclass
@@ -169,8 +161,8 @@ def exact_Tn(q: float, epsilon: float) -> float:
     across runs whenever b/n collide (e.g. halving b doubles the
     colliding n).
     """
-    if not q > 0.5:
-        raise ValueError(f"q must exceed 1/2, got {q}")
+    _check_q(q)
+    _check_gt0("epsilon", epsilon)  # the q = 1 shortcut builds no ThetaLaw
     key = (float(q), float(epsilon))
     if key in _tn_cache:
         return _tn_cache[key]

@@ -1,4 +1,9 @@
-"""Shared exception and warning types."""
+"""Shared exception and warning types, and the argument checks that the
+entry points and the config schemas share: each raises ``ValueError`` with
+a message that starts with the argument's name, and rejects inf and NaN.
+"""
+
+_INF = float("inf")
 
 
 class LmeLabError(Exception):
@@ -16,3 +21,32 @@ class ContractViolation(LmeLabError):
 
 class QuadratureWarning(UserWarning):
     """Adaptive quadrature did not certify the requested tolerance."""
+
+
+def _check_gt0(name: str, value) -> None:
+    if not 0.0 < value < _INF:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_ge0(name: str, value) -> None:
+    if not 0.0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_q(q) -> None:
+    if not 0.5 < q < _INF:
+        raise ValueError(f"q must exceed 1/2 and be finite, got {q}")
+
+
+def _check_count(name: str, value) -> None:
+    if not (hasattr(value, "__index__") and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+
+
+def _check_distinct(name: str, values) -> None:
+    # each value keys a run's record (lme powers, chain q's): a repeat
+    # would record it twice
+    if not all(-_INF < v < _INF for v in values):
+        raise ValueError(f"{name} must be finite, got {tuple(values)}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} has a repeated value in {tuple(values)}")

@@ -1,36 +1,27 @@
 """Run configuration: one flat key=value schema per subcommand.
 
 Configs are flat UTF-8 key=value documents ('#' comments allowed); which
-keys are legal depends on the subcommand, and unknown, duplicate,
-mistyped, non-finite or out-of-range keys are rejected with a
-``ConfigError`` that names the key.  Range checks reuse each entry point's
-own validators.  Missing optional keys take the schema's default, which
-equals the entry point's own default wherever it has one.
+keys are legal depends on the subcommand.  The harness parses the keys and
+names them: unknown, duplicate, mistyped and out-of-range keys are
+rejected with a ``ConfigError`` that names the key.  Every range check
+belongs to an entry point, and the schema runs that same check, so a
+config rejects exactly what the entry point rejects.  Missing optional
+keys take the schema's default, which equals the entry point's own
+default wherever it has one.
 """
 
 from __future__ import annotations
 
-import math
-
-from . import analytics, brw, chain, engine, laplace, prbm, streams
-from .errors import ConfigError
+from . import brw, chain, engine, laplace, prbm, streams
+from .errors import (
+    ConfigError, _check_count, _check_distinct, _check_ge0, _check_gt0, _check_q,
+)
 
 __all__ = ["SCHEMAS", "parse_config"]
 
 
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(_float(x) for x in text.split(",") if x.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _list(item):
+    return lambda text: tuple(item(x) for x in text.split(",") if x.strip())
 
 
 def _bool(text: str) -> bool:
@@ -42,13 +33,8 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _positive(value) -> None:
-    if not value > 0:
-        raise ValueError(f"must be positive, got {value}")
-
-
 def _checked(key, *checks):
-    """Validator that runs a module's own checks on the value, so the
+    """Validator that runs an entry point's own checks on the value, so the
     rejection is the entry point's and names the key."""
 
     def validate(value):
@@ -62,58 +48,57 @@ def _checked(key, *checks):
     return validate
 
 
+def _named(key, check):
+    """Validator for a shared check of ``errors``, which takes the key."""
+    return _checked(key, lambda value: check(key, value))
+
+
 # key -> (parser, default or REQUIRED, optional validator)
 _REQUIRED = object()
 _SEED = _checked("seed", streams._check_seed)
 
 SCHEMAS: dict[str, dict] = {
     "simulate-lme": {
-        "q": (_float, _REQUIRED, _checked("q", analytics._check_q)),
-        "b": (_float, _REQUIRED, _checked("b", _positive)),
-        "n_max": (int, 10_000, _checked("n_max", _positive)),
+        "q": (float, _REQUIRED, _checked("q", _check_q)),
+        "b": (float, _REQUIRED, _named("b", _check_gt0)),
+        "n_max": (int, 10_000, _named("n_max", _check_count)),
         "pool_size": (int, 100_000, _checked("pool_size", engine._check_pool_size)),
         "seed": (int, 0, _SEED),
-        "track_powers": (
-            _float_list, (2.0, 3.0), _checked("track_powers", engine._check_distinct)
-        ),
+        "track_powers": (_list(float), (2.0, 3.0), _named("track_powers", _check_distinct)),
     },
     "laplace": {
-        "q": (_float, 0.75, _checked("q", laplace._check_q)),
-        "b": (_float, 0.5, _checked("b", _positive)),
+        "q": (float, 0.75, _checked("q", laplace._check_q)),
+        "b": (float, 0.5, _named("b", _check_gt0)),
         "init": (str, "delta", _checked("init", laplace._check_init)),
         # scales of the recursion-only route (refine = false); with refine
         # the stationary solve starts from one recursion step, since its
         # solution does not depend on the start
-        "n_schedule": (int, 4000, _checked("n_schedule", _positive)),
+        "n_schedule": (int, 4000, _named("n_schedule", _check_count)),
         "refine": (_bool, True, None),
     },
     "brw": {
         "mode": (str, "cascade", _checked("mode", brw._check_mode)),
-        # read by the cascade alone: derivative runs at brw.BETA_C and max
-        # takes no beta, yet every mode accepts the key
-        "beta": (_float, 0.8326, _checked("beta", _positive)),
+        # read by the cascade alone (see brw.BrwParams), yet every mode takes it
+        "beta": (float, 0.8326, _named("beta", _check_ge0)),
         "depth": (int, 40, _checked("depth", brw._check_depth)),
         "replicas": (int, 1_000_000, _checked("replicas", brw._check_replicas)),
         "seed": (int, 0, _SEED),
     },
     "rg-chain": {
         "N": (int, 4096, _checked("N", chain._check_size)),
-        "b": (_float, 0.3, _checked("b", _positive)),
-        "a": (_float, 0.4, _checked("a", chain._check_a)),
-        "n_max": (int, 100, _checked("n_max", _positive)),
-        "q_list": (_float_list, (0.75, 2.0), _checked("q_list", engine._check_distinct)),
+        "b": (float, 0.3, _named("b", _check_gt0)),
+        "a": (float, 0.4, _checked("a", chain._check_a)),
+        # checked with N after the per-key validators, in parse_config
+        "n_max": (int, 100, None),
+        "q_list": (_list(float), (0.75, 2.0), _named("q_list", _check_distinct)),
         "seed": (int, 0, _SEED),
-        "replicas": (int, 1, _checked("replicas", _positive)),
+        "replicas": (int, 1, _named("replicas", _check_count)),
     },
     "prbm": {
-        "N_list": (
-            _int_list,
-            (256, 512, 1024, 2048),
-            _checked("N_list", prbm._check_sizes, prbm._check_fit_sizes),
-        ),
-        "b": (_float, 0.1, _checked("b", _positive)),
-        "q": (_float, 2.0, _checked("q", _positive)),
-        "realizations": (int, 20, _checked("realizations", _positive)),
+        "N_list": (_list(int), (256, 512, 1024, 2048), _checked("N_list", prbm._check_sizes)),
+        "b": (float, 0.1, _named("b", _check_gt0)),
+        "q": (float, 2.0, _named("q", _check_gt0)),
+        "realizations": (int, 20, _named("realizations", _check_count)),
         "seed": (int, 0, _SEED),
     },
 }

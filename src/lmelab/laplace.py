@@ -72,7 +72,7 @@ from scipy.optimize import NoConvergence, newton_krylov
 from scipy.sparse.linalg import LinearOperator
 
 from . import analytics, theta
-from .errors import ContractViolation, QuadratureWarning
+from .errors import ContractViolation, QuadratureWarning, _check_count, _check_gt0
 
 __all__ = [
     "GridFunction",
@@ -140,12 +140,12 @@ class GridFunction:
 
 def _check_q(q: float) -> None:
     if not 0.5 < q < 1.0:
-        raise ValueError(f"the Laplace route requires q in (1/2, 1), got {q}")
+        raise ValueError(f"q in (1/2, 1) is required on the Laplace route, got {q}")
 
 
 def _check_init(init: str) -> None:
     if init not in ("delta", "exponential"):
-        raise ValueError(f"unknown init {init!r}; use 'delta' or 'exponential'")
+        raise ValueError(f"init must be 'delta' or 'exponential', got {init!r}")
 
 
 def make_grid(init: str = "delta") -> GridFunction:
@@ -340,7 +340,7 @@ def _outer_evaluator(lg: _LogGrid, phi: np.ndarray, series: tuple[float, ...]):
 def grid_eval(grid: GridFunction, args) -> np.ndarray:
     """Evaluate the grid function at positive arguments."""
     a = np.atleast_1d(np.asarray(args, dtype=float))
-    if np.any(a <= 0.0):
+    if not np.all(a > 0.0):
         raise ValueError("arguments must be positive")
     return _evaluator(grid)(a)
 
@@ -371,8 +371,10 @@ def iterate_phi(
     c1 = -1 stay pinned.
     """
     _check_q(q)
-    if n_start < 1 or n_end < n_start:
-        raise ValueError("need 1 <= n_start <= n_end")
+    _check_gt0("b", b)
+    _check_count("n_start", n_start)
+    if n_end < n_start:
+        raise ValueError(f"n_end must be >= n_start = {n_start}, got {n_end}")
     t = grid.t
     phi = grid.phi.copy()
     series = grid.series
@@ -780,6 +782,7 @@ def converge_grid(
     where it starts.  Without ``refine`` the result is the finite-scale
     recursion run from n = 1 to ``n_schedule``.
     """
+    _check_count("n_schedule", n_schedule)
     grid = make_grid(init)
     if not refine:
         return iterate_phi(q, b, 1, n_schedule, grid)

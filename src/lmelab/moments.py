@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import beta, betainc
 
 from . import analytics, theta
-from .errors import ContractViolation
+from .errors import ContractViolation, _check_count, _check_gt0, _check_q
 
 __all__ = [
     "MomentTable",
@@ -63,12 +63,6 @@ class FactorialBound:
     checked_upto: int
 
 
-def _check_args(q: float, kmax: int) -> None:
-    analytics._check_q(q)
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-
-
 def pair_integral(q: float, j: int, m: int) -> float:
     """I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} cos^{2qm-2}.
 
@@ -76,9 +70,9 @@ def pair_integral(q: float, j: int, m: int) -> float:
     Beta function up to x = 1/2; both parameters are positive for q > 1/2,
     so the sin-side endpoint singularity (qj < 1) costs nothing.
     """
-    analytics._check_q(q)
-    if j < 1 or m < 1:
-        raise ValueError("j and m must be integers >= 1")
+    _check_q(q)
+    _check_count("j", j)
+    _check_count("m", m)
     a = q * j - 0.5
     b = q * m - 0.5
     return float(0.25 * beta(a, b) * betainc(a, b, 0.5))
@@ -87,7 +81,8 @@ def pair_integral(q: float, j: int, m: int) -> float:
 def moment_table(q: float, kmax: int) -> MomentTable:
     """Fill M_1..M_kmax by the recursion; stop at the first l whose
     denominator T(lq) - l T(q) is not positive (M_l is infinite there)."""
-    _check_args(q, kmax)
+    _check_q(q)
+    _check_count("kmax", kmax)
     tq = analytics.T_of_q(q)
     m = [1.0]
     denoms = [analytics.T_of_q(q) - tq]  # 0 by construction for l = 1
@@ -200,11 +195,10 @@ def moment_trajectory(
     whose denominator is not positive (q at or above the threshold q_k) are
     still propagated; they simply do not converge.
     """
-    _check_args(q, kmax)
-    if not b > 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_q(q)
+    _check_count("kmax", kmax)
+    _check_gt0("b", b)
+    _check_count("n_max", n_max)
     if n_max == 1:
         return np.ones((1, kmax))  # the unit pool; no angle moment is needed
     rows, col = _angle_moments(q, b, n_max, kmax)

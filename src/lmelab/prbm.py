@@ -29,8 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import _BLOCK_BYTES, _orthonormality_err
 from .engine import ols
-from .errors import ContractViolation
-from .streams import DOMAIN_PRBM, derive_stream
+from .errors import ContractViolation, _check_count, _check_gt0
+from .streams import DOMAIN_PRBM, _check_seed, derive_stream
 
 __all__ = [
     "PrbmEnsemble",
@@ -43,14 +43,9 @@ __all__ = [
 
 
 def _check_sizes(N_list) -> None:
-    if any(n < 64 for n in N_list):
-        raise ValueError("matrix sizes must be >= 64")
-
-
-def _check_fit_sizes(N_list) -> None:
-    # repeated sizes add no point to the ln N regression
-    if len(set(N_list)) < 3:
-        raise ValueError("need at least three distinct sizes for the fit")
+    # the fit needs three points; a repeated size adds none
+    if any(n < 64 for n in N_list) or len(set(N_list)) < 3:
+        raise ValueError(f"N_list needs three distinct sizes >= 64, got {tuple(N_list)}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,9 @@ class PrbmEnsemble:
 
     def __post_init__(self):
         _check_sizes(self.N_list)
-        if not self.b > 0:
-            raise ValueError("b must be positive")
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
+        _check_gt0("b", self.b)
+        _check_count("realizations", self.realizations)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,9 @@ def build_matrix(N: int, b: float, rng: np.random.Generator) -> np.ndarray:
     one row and read as an (N, N) view, and the mirror is copied in row
     blocks: the returned array is the only N^2 buffer.
     """
-    if N < 2 or not b > 0:
-        raise ValueError("need N >= 2 and b > 0")
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    _check_gt0("b", b)
     d = np.arange(N)
     d = np.minimum(d, N - d)
     prof = np.where(d < b, 1.0, b / np.maximum(d, 1))
@@ -171,9 +166,7 @@ def estimate_dq(ensemble: PrbmEnsemble, q: float) -> DqFit:
     q = 1 is exact: P(1) = 1 for every unit vector, so the slope and d are
     identically zero with no sampling involved.
     """
-    if not q > 0:
-        raise ValueError("q must be positive")
-    _check_fit_sizes(ensemble.N_list)
+    _check_gt0("q", q)
     n_list = tuple(sorted(ensemble.N_list))
     if q == 1.0:
         z = (0.0,) * len(n_list)

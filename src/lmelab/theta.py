@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureWarning
+from .errors import QuadratureWarning, _check_gt0
 
 __all__ = [
     "ThetaLaw",
@@ -53,8 +53,7 @@ class ThetaLaw:
     s: float = field(init=False)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_gt0("epsilon", self.epsilon)
         object.__setattr__(self, "s", 0.5 * math.pi * self.epsilon)
 
 

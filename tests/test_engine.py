@@ -45,6 +45,12 @@ class TestExactTn:
     def test_q_one_is_exactly_one(self):
         assert en.exact_Tn(1.0, 0.123) == 1.0
 
+    @pytest.mark.parametrize("q", [0.75, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_bad_epsilon(self, q, eps):
+        with pytest.raises(ValueError, match="^epsilon "):
+            en.exact_Tn(q, eps)
+
     def test_small_eps_limits(self):
         # (1 - T_n)/eps -> T(q); the approach is O(eps^{2q-1}) for q < 1,
         # so the fractional-q case needs a smaller eps for 1% agreement

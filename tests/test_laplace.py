@@ -481,6 +481,12 @@ def test_oracle_does_not_use_the_outer_evaluator(grid, monkeypatch):
         la._residual_grid(la._StationarySolve(0.75, grid), grid)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_grid_eval_rejects_arguments_that_are_not_positive(grid, bad):
+    with pytest.raises(ValueError, match="positive"):
+        la.grid_eval(grid, [bad, 1.0])
+
+
 @pytest.mark.parametrize("init", ["delta", "exponential"])
 def test_fresh_grids_pass_the_invariants(init):
     g = la.make_grid(init)

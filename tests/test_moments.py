@@ -148,7 +148,11 @@ def test_single_scale_trajectory_needs_no_angle_moments(monkeypatch, kmax):
 
 
 @pytest.mark.parametrize(
-    "name, value", [("q", 0.4), ("q", 0.5), ("b", 0.0), ("b", -0.5), ("kmax", 0)]
+    "name, value",
+    [
+        ("q", 0.4), ("q", 0.5), ("q", math.inf), ("b", 0.0), ("b", -0.5),
+        ("b", math.inf), ("kmax", 0),
+    ],
 )
 @pytest.mark.parametrize("n_max", [1, 40])
 def test_moment_trajectory_rejects_bad_arguments(name, value, n_max):

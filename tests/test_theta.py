@@ -67,8 +67,9 @@ class TestDensity:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             th.theta_density(th.ThetaLaw(0.1), 1.0)
-        with pytest.raises(ValueError):
-            th.ThetaLaw(0.0)
+        for eps in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^epsilon "):
+                th.ThetaLaw(eps)
 
     def test_cdf_matches_density_integral(self):
         law = th.ThetaLaw(0.05)

@@ -46,11 +46,13 @@ row of interval values per multiplier, with no search; these paths raise
 ValueError on a grid that is not uniform in ln t.  They build the
 spline as scipy's not-a-knot CubicSpline does, to the bit, with one LAPACK
 tridiagonal solve.  What does not depend on phi is built once per call
-and passed down: :func:`iterate_phi` builds one :class:`_LogGrid` (the
-grid's step, spline system and head powers), and :func:`refine_stationary`
-one :class:`_StationarySolve`, which adds the kernel multipliers' reads and
-the collar fit's design.  Only the per-q kernel pieces of :func:`_kernel`
-are kept between calls.
+and passed down, with the work arrays each evaluation overwrites, so no
+evaluation allocates an array of nodes x multipliers: :func:`iterate_phi`
+builds one :class:`_LogGrid` (the grid's step, spline system, head powers
+and coefficient table) and keeps its multipliers' reads across steps, and
+:func:`refine_stationary` one :class:`_StationarySolve`, which adds the
+kernel multipliers' reads and the collar fit's design.  Only the per-q
+kernel pieces of :func:`_kernel` are kept between calls.
 Arbitrary points (:func:`grid_eval` and the oracle
 :func:`stationary_residual`) go through the interval search of
 :func:`_evaluator`, on scipy's CubicSpline.
@@ -64,7 +66,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
@@ -232,21 +233,24 @@ class _Reads(NamedTuple):
     ``basis[k]`` is (dx^3, dx^2, dx, 1, e^dx, e^2dx, e^3dx, e^4dx) at
     dx_k, the row that meets :meth:`_LogGrid.table`; ``lo`` and ``hi``
     bound the shifts (and 0), and row k of the evaluated band starts at
-    column ``cols[k]`` = shift_k - lo.
+    column ``cols[k]`` = shift_k - lo.  ``work`` holds at least
+    multipliers x (n + hi - lo) entries: :func:`_outer_evaluator` writes the
+    band into it, then the nodes' values over the band.
     """
 
     basis: np.ndarray
     lo: int
     hi: int
-    rows: np.ndarray
-    cols: np.ndarray
+    cols: list[int]
+    work: np.ndarray
 
 
 class _LogGrid:
     """The phi-free constants of a grid uniform in ln t, read by
     :func:`_outer_evaluator`: its node count n and step h, scipy's
     not-a-knot system in ln t and the powers t_j^p, p = 0..4, of the
-    intervals j = -n .. -1 continued below t_min."""
+    intervals j = -n .. -1 continued below t_min; and the table that
+    :meth:`table` fills, whose zero entries are written once."""
 
     def __init__(self, t: np.ndarray):
         lnt = np.log(t)
@@ -264,6 +268,7 @@ class _LogGrid:
         self.last = (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
         t_below = np.exp(lnt[0] + h * np.arange(-n, 0))
         self.head = np.power.outer(t_below, np.arange(5))
+        self.tab = np.zeros((8, 3 * n))
 
     def spline(self, phi: np.ndarray) -> np.ndarray:
         """``CubicSpline(ln t, phi).c``, built as scipy builds it: the same
@@ -287,16 +292,18 @@ class _LogGrid:
     def table(self, phi: np.ndarray, series: tuple[float, ...]) -> np.ndarray:
         """tab[:, n + j] is interval j, for j in [-n, 2n), as the
         coefficients of the :class:`_Reads` basis: the spline's cubic in the
-        grid, the series head c_p (t_j e^dx)^p below it, the clamp above."""
-        n = self.n
-        tab = np.zeros((8, 3 * n))
+        grid, the series head c_p (t_j e^dx)^p below it, the clamp above.
+        The table is the grid's own, overwritten by the next call."""
+        n, tab = self.n, self.tab
         tab[:4, n : 2 * n - 1] = self.spline(phi)
         tab[3, 2 * n - 1 :] = phi[-1]
         tab[3:, :n] = (self.head * series).T
         return tab
 
-    def reads(self, mult: np.ndarray) -> _Reads:
-        """The :class:`_Reads` of positive multipliers ``mult``."""
+    def reads(self, mult: np.ndarray, held: _Reads | None = None) -> _Reads:
+        """The :class:`_Reads` of positive multipliers ``mult``, on the work
+        array of ``held`` if it is large enough, else on a new one that
+        holds the widest band, 3n intervals, at as many multipliers."""
         n = self.n
         s, frac = _interval_offset(mult, self.h)
         # beyond n steps every node is head or clamp; dx grows to match
@@ -305,13 +312,20 @@ class _LogGrid:
         lo, hi = int(shift.min(initial=0)), int(shift.max(initial=0))
         powers = np.power.outer(dx, np.arange(3, -1, -1))
         exps = np.power.outer(np.exp(dx), np.arange(1, 5))
-        return _Reads(np.hstack([powers, exps]), lo, hi, np.arange(mult.size), shift - lo)
+        if held is None or held.work.size < mult.size * (n + hi - lo):
+            work = np.empty(3 * n * mult.size)
+        else:
+            work = held.work
+        return _Reads(np.hstack([powers, exps]), lo, hi, (shift - lo).tolist(), work)
 
 
 def _outer_evaluator(lg: _LogGrid, phi: np.ndarray, series: tuple[float, ...]):
     """phi(t_i m_k) at every node t_i of ``lg`` and positive multiplier m_k,
     for the grid values ``phi`` and series head ``series``, as an array of
     shape (nodes, multipliers), for the multipliers' :class:`_Reads`.
+    It writes the table into ``lg`` and the values into the reads' work
+    array: the next call on the same reads overwrites what one returned,
+    and the next :func:`_outer_evaluator` on ``lg`` the table it reads.
 
     On the grid uniform in ln t, t_i m lies in spline interval
     j = i + s with s = floor(ln m / h), at dx = ln t_i + ln m - ln t_j =
@@ -331,8 +345,15 @@ def _outer_evaluator(lg: _LogGrid, phi: np.ndarray, series: tuple[float, ...]):
     def ev(reads: _Reads) -> np.ndarray:
         # vals[k, j - lo]: interval j at multiplier k, for the intervals
         # lo .. hi + n - 1 that some multiplier reaches
-        vals = reads.basis @ tab[:, n + reads.lo : 2 * n + reads.hi]
-        return sliding_window_view(vals, n, axis=1)[reads.rows, reads.cols].T
+        k, width = len(reads.cols), n + reads.hi - reads.lo
+        vals = reads.work[: k * width].reshape(k, width)
+        np.matmul(reads.basis, tab[:, n + reads.lo : 2 * n + reads.hi], out=vals)
+        # row k of the values lands at or before row k of vals, so each
+        # copy overwrites only rows of vals already read
+        out = reads.work[: k * n].reshape(k, n)
+        for row, v, c in zip(out, vals, reads.cols):
+            row[...] = v[c : c + n]
+        return out.T
 
     return ev
 
@@ -380,6 +401,7 @@ def iterate_phi(
     series = grid.series
     powers = np.arange(5)
     lg = _LogGrid(t)
+    a_reads = b_reads = None
     for n in range(n_start, n_end):
         nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), 24)
         s2 = np.sin(nodes) ** 2
@@ -388,8 +410,9 @@ def iterate_phi(
         t_n = (a_pow + b_pow) @ w
         a_arg, b_arg = a_pow / t_n, b_pow / t_n
         ev = _outer_evaluator(lg, phi, series)
-        new = ev(lg.reads(a_arg))
-        new *= ev(lg.reads(b_arg))
+        a_reads, b_reads = lg.reads(a_arg, a_reads), lg.reads(b_arg, b_reads)
+        new = ev(a_reads)
+        new *= ev(b_reads)
         new = new @ w
         phi, dist = _isotonic(new)
         # the projection distance is a contract, not a crutch
@@ -504,9 +527,11 @@ class _StationarySolve:
     ``ker``, the nodes' :class:`_LogGrid` ``lg``, the sin and cos
     multipliers' :class:`_Reads` on it, the collar mask and the free nodes
     ``fidx`` of :func:`refine_stationary`, and the design of the collar's
-    pinned series fit.  ``start`` is the start grid with its collar set
-    (:func:`_set_collar`); the nodes beyond the solve window keep its
-    values.  A grid that is not uniform in ln t raises ValueError.
+    pinned series fit.  ``lg`` and the reads hold the table and the
+    products that every evaluation writes over.  ``start`` is the start
+    grid with its collar set (:func:`_set_collar`); the nodes beyond the
+    solve window keep its values.  A grid that is not uniform in ln t
+    raises ValueError.
     """
 
     def __init__(self, q: float, grid: GridFunction):
@@ -599,7 +624,7 @@ def _banded_preconditioner(solve: _StationarySolve) -> LinearOperator:
         k = np.where(np.abs(off) <= _BAND)[0]
         w[k, off[k] + _BAND] += coef[k] * share[k]
     keep = np.any(w != 0.0, axis=1)
-    rows += ev(lg.reads(ker.sin_pow[keep]))[fidx] @ w[keep]
+    rows += ev(solve.reads[0])[np.ix_(fidx, keep)] @ w[keep]
     # gbtrf reads J[i, i + d] at ab[2 _BAND - d, i + d], below _BAND rows
     # for its fill-in; columns i + d outside the free nodes are frozen
     # values and are dropped
@@ -655,9 +680,10 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     unpreconditioned solve; the preconditioner and a fixed inner tolerance
     of 1e-3 bring the residual evaluations at q = 0.75 after one recursion
     step to 20.  Each evaluation recomputes only what depends on phi (the
-    collar fit, the spline table and the kernel sums): the grid's and the
-    kernel's constants are built once, into the solve's
-    :class:`_StationarySolve`.
+    collar fit, the spline table and the kernel sums), into the table and
+    products held by the solve's :class:`_StationarySolve`, where the
+    grid's and the kernel's constants are built once: an evaluation takes
+    no fresh pages from the heap.
     """
     _check_q(q)
     solve = _StationarySolve(q, grid)

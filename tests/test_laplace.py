@@ -1,5 +1,6 @@
 """Laplace-transform grid checks."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -283,10 +284,17 @@ def test_outer_evaluator_matches_the_generic_one(starts, start, name):
     g = starts[start]
     m = _multipliers()[name]
     lg = la._LogGrid(g.t)
-    got = la._outer_evaluator(lg, g.phi, g.series)(lg.reads(m))
+    ev = la._outer_evaluator(lg, g.phi, g.series)
+    got = ev(lg.reads(m))
     want = la._evaluator(g)(np.multiply.outer(g.t, m))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13
+    # on a work array that other multipliers wrote, as in the recursion's
+    # later steps, the values are the same to the bit
+    for other in _multipliers().values():
+        held = lg.reads(other)
+        ev(held)
+        assert np.array_equal(ev(lg.reads(m, held)), got)
 
 
 @pytest.mark.parametrize("start", ["delta", "exponential", "refined", "non-monotone"])
@@ -429,6 +437,64 @@ def test_refine_builds_one_log_grid_per_solve(grid, monkeypatch):
     monkeypatch.setattr(la, "_LogGrid", Counting)
     la.refine_stationary(0.75, grid)
     assert built == 1
+
+
+@pytest.fixture
+def one_step_solve():
+    return la._StationarySolve(0.75, la.iterate_phi(0.75, 0.5, 1, 2, la.make_grid()))
+
+
+def test_residual_evaluation_allocates_no_product(one_step_solve, traced_peak):
+    # the table and the kernel products are written into the solve's work
+    # arrays: a warm evaluation holds less than one array of nodes x
+    # multipliers at once
+    solve = one_step_solve
+    u = solve.start.phi[solve.fidx]
+    solve.objective(u)
+    _, peak = traced_peak(lambda: solve.objective(u))
+    assert peak < solve.t.size * solve.ker.sin_pow.size * 8
+
+
+def test_warm_recursion_step_allocates_no_product(monkeypatch):
+    # the recursion's reads keep their work arrays across steps: from the
+    # second step on, a step holds less than one array of nodes x
+    # multipliers beyond what it starts with
+    rule = la.theta.folded_rule
+    starts, shapes = [], []
+
+    def marking(law, nodes_per_panel):
+        if starts:
+            tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        nodes, w = rule(law, nodes_per_panel)
+        shapes.append(nodes.size)
+        return nodes, w
+
+    monkeypatch.setattr(la.theta, "folded_rule", marking)
+    grid = la.make_grid()
+    tracemalloc.start()
+    try:
+        la.iterate_phi(0.75, 0.5, 1, 3, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes[0] == shapes[1]
+    assert peak - starts[1] < grid.t.size * shapes[1] * 8
+
+
+def test_work_arrays_keep_no_state(exponential_grid, one_step_solve):
+    # a residual evaluation overwrites the held table and products in full:
+    # grid a again after grid b gives what a gave first, and what a fresh
+    # solve gives; b changes the head and the clamp columns of the table
+    solve = one_step_solve
+    a, b = solve.start, exponential_grid
+    assert a.series != b.series
+    assert a.phi[-1] != b.phi[-1]
+    first = la._residual_grid(solve, a)
+    la._residual_grid(solve, b)
+    assert np.array_equal(la._residual_grid(solve, a), first)
+    fresh = la._StationarySolve(0.75, la.iterate_phi(0.75, 0.5, 1, 2, la.make_grid()))
+    assert np.array_equal(la._residual_grid(fresh, a), first)
 
 
 _ENTRY_POINTS = {

@@ -16,10 +16,11 @@ Everything here runs both as a resampling pool (any depth) and as an
 explicit 2^depth-leaf tree (depth <= 20), the latter serving as the
 small-depth oracle for the former.
 
-A step takes and returns the arrays it evolves (the cascade M, the
-derivative M and D, the maximum X_max), and :class:`BrwPool` is only a
-run's final record.  A step never writes to its input arrays, so it holds
-the old and the new of each, 8 bytes x replicas each: 16 MiB for a
+A step takes the arrays it evolves and the generators it draws from, and
+returns new arrays, as every pool step does (``engine.step`` for lme): the
+cascade M, the derivative M and D, the maximum X_max.  :class:`BrwPool` is
+only a run's final record.  A step never writes to its input arrays, so it
+holds the old and the new of each, 8 bytes x replicas each: 16 MiB for a
 cascade or maximum step at 2^20 replicas, 32 MiB for a derivative step.
 Each lane adds a few chunk-sized buffers, in which the kernels compute.
 
@@ -47,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import _BLOCKS, block_mean_se, map_chunks, mix_pairs, ols
+from .engine import _BLOCKS, _check_blocks, block_mean_se, map_chunks, mix_pairs, ols
 from .errors import _check_ge0
 from .streams import DOMAIN_BRW, _check_seed, derive_stream
 
@@ -86,8 +87,7 @@ def _check_depth(depth: int) -> None:
 
 
 def _check_replicas(replicas: int) -> None:
-    if replicas < _BLOCKS or replicas % _BLOCKS != 0:
-        raise ValueError(f"replicas must be a positive multiple of {_BLOCKS}, got {replicas}")
+    _check_blocks("replicas", replicas, _BLOCKS)
 
 
 @dataclass(frozen=True)

@@ -166,15 +166,12 @@ def ipr(vector, q: float) -> float | np.ndarray:
 
     ``vector`` is an array whose last axis holds the amplitudes; a 2-D
     array gives one P(q) per row, computed in row blocks of about
-    :data:`_BLOCK_BYTES`.  Only the nonzero entries are raised to the
-    power q.
+    :data:`_BLOCK_BYTES`, and a 1-D array is taken as one row and gives a
+    float.  Only the nonzero entries are raised to the power q.
     """
     amps = np.asarray(vector, dtype=float)
-    if amps.ndim == 1:
-        p = amps[amps != 0.0]
-        np.square(p, out=p)
-        np.power(p, q, out=p)
-        return float(p.sum())
+    one_row = amps.ndim == 1
+    amps = np.atleast_2d(amps)
     total = np.zeros(len(amps))
     rows = max(1, _BLOCK_BYTES // max(1, amps.shape[1] * amps.itemsize))
     for lo in range(0, len(amps), rows):
@@ -188,7 +185,7 @@ def ipr(vector, q: float) -> float | np.ndarray:
         if filled.any():
             starts = (np.cumsum(counts) - counts)[filled]
             total[lo : lo + rows][filled] = np.add.reduceat(p, starts)
-    return total
+    return float(total[0]) if one_row else total
 
 
 def _kde_at_zero(samples: np.ndarray) -> float:

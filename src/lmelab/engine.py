@@ -17,12 +17,15 @@ cross-block spread.  Moment estimates are the raw block means of the
 pool's powers, unbiased because the pool is normalized by the
 deterministic T_n.
 
-``map_chunks`` walks the chunks of this pool and of the brw pool.
-Given one generator, as here, it walks the chunks in order on the calling
-thread and starts no thread.  Given one generator per block, as brw keeps
-on purpose, it spreads the blocks over the usable cores: each generator's
-chunks stay in order on one thread and write only their own slice of the
-output, so the result is bit-identical in whatever order the blocks run.
+Every pool step, here and in ``brw``, takes the arrays it evolves and the
+generators it draws from and returns new arrays; the run owns the scale
+loop and the streams.  ``map_chunks`` walks the chunks of every step.
+Given one generator, as ``run`` passes, it walks the chunks in order on
+the calling thread and starts no thread.  Given one generator per block,
+as brw keeps on purpose, it spreads the blocks over the usable cores: each
+generator's chunks stay in order on one thread and write only their own
+slice of the output, so the result is bit-identical in whatever order the
+blocks run.
 """
 
 from __future__ import annotations
@@ -40,11 +43,9 @@ from .streams import DOMAIN_LME, _check_seed, derive_stream
 
 __all__ = [
     "LmeParams",
-    "SamplePool",
     "RunRecord",
     "PaleyZygmund",
     "exact_Tn",
-    "init_pool",
     "map_chunks",
     "mix_pairs",
     "block_mean_se",
@@ -85,11 +86,14 @@ _WORKERS = _usable_cores()
 _executor: ThreadPoolExecutor | None = None
 
 
+def _check_blocks(key: str, size: int, minimum: int) -> None:
+    # every pool splits into _BLOCKS equal replica blocks
+    if not (hasattr(size, "__index__") and size >= minimum and size % _BLOCKS == 0):
+        raise ValueError(f"{key} must be a multiple of {_BLOCKS} and >= {minimum}, got {size}")
+
+
 def _check_pool_size(pool_size: int) -> None:
-    if pool_size < 1000:
-        raise ValueError("pool_size must be >= 1000")
-    if pool_size % _BLOCKS != 0:
-        raise ValueError(f"pool_size {pool_size} not divisible by {_BLOCKS} blocks")
+    _check_blocks("pool_size", pool_size, 1000)
 
 
 @dataclass(frozen=True)
@@ -112,15 +116,6 @@ class LmeParams:
         _check_distinct("track_powers", self.track_powers)
 
 
-@dataclass
-class SamplePool:
-    """Empirical ensemble for the law of the normalized ratio at scale n."""
-
-    n: int
-    values: np.ndarray
-    logZ: float
-
-
 @dataclass(frozen=True)
 class PaleyZygmund:
     """Markov upper bound for P(ratio > 2) and the p-th-moment lower bound
@@ -138,7 +133,8 @@ class RunRecord:
 
     ``moments``/``ses`` hold the unbiased raw block-mean estimates of
     E[ratio^p] with their standard errors over independent blocks;
-    ``means``/``mean_ses`` the same for E[ratio], which is one exactly.
+    ``means``/``mean_ses`` the same for E[ratio], which is one exactly;
+    ``logZ`` the sum of ln T_m over m < n; ``final_values`` the pool at n_max.
     """
 
     params: LmeParams
@@ -148,7 +144,7 @@ class RunRecord:
     ses: dict[float, list[float]] = field(default_factory=dict)
     means: list[float] = field(default_factory=list)
     mean_ses: list[float] = field(default_factory=list)
-    final_pool: SamplePool | None = None
+    final_values: np.ndarray | None = None
 
 
 def exact_Tn(q: float, epsilon: float) -> float:
@@ -177,11 +173,6 @@ def exact_Tn(q: float, epsilon: float) -> float:
     return val
 
 
-def init_pool(params: LmeParams) -> SamplePool:
-    """Deterministic unit pool at scale 1 (the raw quantity starts at 1)."""
-    return SamplePool(n=1, values=np.ones(params.pool_size), logZ=0.0)
-
-
 def map_chunks(size: int, rngs, kernel) -> None:
     """Run ``kernel(sl, i, j, rng)`` on every chunk of whole replica blocks:
     ``sl`` is the chunk's slice of the pool and i, j its parent indices,
@@ -190,12 +181,14 @@ def map_chunks(size: int, rngs, kernel) -> None:
 
     ``rngs`` holds one generator per equal group of consecutive blocks of
     the pool's ``_BLOCKS``: a single generator for the whole pool, or one
-    per block.  A group is walked in chunks of at most ``_CHUNK`` samples
-    (at least one block); each chunk draws i, then j, with one call each,
-    and the kernel draws the chunk's mixing variables from ``rng`` after
-    them.  Chunks of a group thus consume consecutive, disjoint stretches
-    of its generator.  A one-block chunk makes exactly the two calls of a
-    per-block draw.
+    per block.  Any other count, or a ``size`` that is not a positive
+    multiple of ``_BLOCKS``, would leave slots unwritten and raises
+    ``ValueError``.  A group is walked in chunks of at most ``_CHUNK``
+    samples (at least one block); each chunk draws i, then j, with one call
+    each, and the kernel draws the chunk's mixing variables from ``rng``
+    after them.  Chunks of a group thus consume consecutive, disjoint
+    stretches of its generator.  A one-block chunk makes exactly the two
+    calls of a per-block draw.
 
     A single generator is walked on the calling thread.  G > 1 groups are
     dealt round-robin to L = min(``_WORKERS``, G) lanes, each running its
@@ -206,6 +199,9 @@ def map_chunks(size: int, rngs, kernel) -> None:
     only once every lane has finished.
     """
     global _executor
+    _check_blocks("size", size, _BLOCKS)
+    if not rngs or _BLOCKS % len(rngs):
+        raise ValueError(f"rngs must hold a divisor of {_BLOCKS} generators, got {len(rngs)}")
     p = size // _BLOCKS
     per_rng = _BLOCKS // len(rngs)
     per_chunk = min(max(_CHUNK // p, 1), per_rng)
@@ -257,27 +253,23 @@ def block_mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(_BLOCKS))
 
 
-def step(pool: SamplePool, params: LmeParams) -> SamplePool:
-    """One scale step: resample parent pairs within each block from the
-    (seed, step) stream, mix with a fresh angle at eps = b/n, divide by the
-    exact T_n."""
-    q = params.q
-    eps = params.b / pool.n
-    t_n = exact_Tn(q, eps)
+def step(x: np.ndarray, q: float, eps: float, t_n: float, rngs) -> np.ndarray:
+    """X' = (sin^{2q} th X[i] + cos^{2q} th X[j]) / t_n, one scale step at
+    eps = b/n: parent pairs resampled with replacement within each replica
+    block and a fresh angle th at eps per sample, all drawn from ``rngs``
+    (see ``map_chunks``); ``t_n`` is the exact T_n at eps."""
     law = theta.ThetaLaw(eps)
-    rngs = [derive_stream(params.seed, (DOMAIN_LME, pool.n))]
-    v = pool.values
-    out = np.empty_like(v)
+    out = np.empty_like(x)
 
     def mix(sl, i, j, rng):
         sin2, cos2 = theta.sample_sin2_cos2(law, rng, i.size)
         sin2 **= q
         cos2 **= q
-        mix_pairs(out[sl], v, i, j, sin2, cos2)
+        mix_pairs(out[sl], x, i, j, sin2, cos2)
         out[sl] /= t_n
 
-    map_chunks(v.size, rngs, mix)
-    return SamplePool(n=pool.n + 1, values=out, logZ=pool.logZ + math.log(t_n))
+    map_chunks(x.size, rngs, mix)
+    return out
 
 
 def _checkpoints(n_max: int) -> list[int]:
@@ -292,32 +284,36 @@ def _checkpoints(n_max: int) -> list[int]:
 
 def run(params: LmeParams) -> RunRecord:
     """Evolve the pool from the unit state at n = 1 up to n_max, recording
-    moments with jackknife errors at geometrically spaced checkpoints."""
+    moments with jackknife errors at geometrically spaced checkpoints.  The
+    step from scale n draws from the (seed, (DOMAIN_LME, n)) stream and
+    divides by the exact T_n at eps = b/n; logZ sums the ln T_n."""
     rec = RunRecord(params=params)
     for p in params.track_powers:
         rec.moments[p] = []
         rec.ses[p] = []
     marks = set(_checkpoints(params.n_max))
-    pool = init_pool(params)
 
-    def record(pool):
-        rec.ns.append(pool.n)
-        rec.logZ.append(pool.logZ)
-        mean, se = block_mean_se(pool.values)
+    def record(n, x, log_z):
+        rec.ns.append(n)
+        rec.logZ.append(log_z)
+        mean, se = block_mean_se(x)
         rec.means.append(mean)
         rec.mean_ses.append(se)
         for p in params.track_powers:
-            mean, se = block_mean_se(pool.values**p)
+            mean, se = block_mean_se(x**p)
             rec.moments[p].append(mean)
             rec.ses[p].append(se)
 
-    if 1 in marks:
-        record(pool)
-    while pool.n < params.n_max:
-        pool = step(pool, params)
-        if pool.n in marks:
-            record(pool)
-    rec.final_pool = pool
+    x, log_z = np.ones(params.pool_size), 0.0  # the raw quantity starts at 1
+    record(1, x, log_z)
+    for n in range(1, params.n_max):
+        eps = params.b / n
+        t_n = exact_Tn(params.q, eps)
+        x = step(x, params.q, eps, t_n, [derive_stream(params.seed, (DOMAIN_LME, n))])
+        log_z += math.log(t_n)
+        if n + 1 in marks:
+            record(n + 1, x, log_z)
+    rec.final_values = x
     return rec
 
 
@@ -338,9 +334,9 @@ def ols(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return coef, np.sqrt(np.maximum(np.diag(cov), 0.0)), resid
 
 
-def paley_zygmund_bounds(pool: SamplePool, p: float) -> PaleyZygmund:
+def paley_zygmund_bounds(values: np.ndarray, p: float) -> PaleyZygmund:
     """Markov/Paley-Zygmund sandwich for the normalized ratio against the
-    pool's empirical frequencies.
+    empirical frequencies of the pool ``values``.
 
     It certifies that the recursion's normalized ratio X, mean one at every
     scale, neither runs off nor collapses to zero: Markov gives
@@ -352,12 +348,11 @@ def paley_zygmund_bounds(pool: SamplePool, p: float) -> PaleyZygmund:
     """
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
-    v = pool.values
-    m_p = float(np.mean(v**p))
+    m_p = float(np.mean(values**p))
     lower = (0.5 / m_p ** (1.0 / p)) ** (p / (p - 1.0))
     return PaleyZygmund(
         upper_p_gt_2=0.5,
         lower_p_ge_half=lower,
-        empirical_p_gt_2=float(np.mean(v > 2.0)),
-        empirical_p_ge_half=float(np.mean(v >= 0.5)),
+        empirical_p_gt_2=float(np.mean(values > 2.0)),
+        empirical_p_ge_half=float(np.mean(values >= 0.5)),
     )

@@ -61,6 +61,7 @@ class TestIpr:
         v = np.zeros(32)
         v[3] = 1.0
         assert ch.ipr(v, 2.0) == 1.0
+        assert type(ch.ipr(v, 2.0)) is float
 
     def test_one_value_per_row(self):
         rng = rng_for(14)

@@ -13,9 +13,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lmelab
 from lmelab import analytics as an
+from lmelab import brw
 from lmelab import engine as en
 from lmelab import moments as mo
 from lmelab import theta as th
@@ -29,6 +32,13 @@ def small_params(**kw):
     return en.LmeParams(**base)
 
 
+def step_from(x, params, n):
+    """The step ``en.run`` takes from scale n."""
+    eps = params.b / n
+    rngs = [derive_stream(params.seed, (DOMAIN_LME, n))]
+    return en.step(x, params.q, eps, en.exact_Tn(params.q, eps), rngs)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,6 +49,19 @@ class TestParams:
             en.LmeParams(q=0.75, b=0.5, n_max=10, pool_size=100)
         with pytest.raises(ValueError):
             en.LmeParams(q=0.75, b=0.5, n_max=10, pool_size=10_001)
+
+    @pytest.mark.parametrize(
+        "make, key",
+        [
+            (lambda size: en.LmeParams(q=0.75, b=0.5, n_max=4, pool_size=size), "pool_size"),
+            (lambda size: brw.BrwParams(beta=0.5, depth=2, replicas=size), "replicas"),
+        ],
+    )
+    def test_block_sizes_must_be_integers(self, make, key):
+        # a float size passed the range checks and failed in np.ones
+        make(3200)
+        with pytest.raises(ValueError, match=f"^{key} "):
+            make(3200.0)
 
 
 class TestExactTn:
@@ -123,29 +146,25 @@ class TestExactTn:
 class TestStep:
     def test_unit_pool_fixed_at_q_one(self):
         params = en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=4000, seed=1)
-        pool = en.init_pool(params)
-        stepped = en.step(pool, params)
-        assert np.allclose(stepped.values, 1.0, atol=1e-15)
-        assert stepped.logZ == 0.0
-        assert stepped.n == 2
+        stepped = step_from(np.ones(params.pool_size), params, 1)
+        assert np.allclose(stepped, 1.0, atol=1e-15)
 
     def test_values_nonnegative_and_mean_near_one(self):
         params = small_params(n_max=50)
-        pool = en.init_pool(params)
-        for _ in range(30):
-            pool = en.step(pool, params)
-        assert np.all(pool.values >= 0.0)
-        mean, se = en.block_mean_se(pool.values)
+        x = np.ones(params.pool_size)
+        for n in range(1, 31):
+            x = step_from(x, params, n)
+        assert np.all(x >= 0.0)
+        mean, se = en.block_mean_se(x)
         assert abs(mean - 1.0) <= 5.0 * se
 
     def test_deterministic_replay(self):
         params = small_params(n_max=30)
-        p1 = en.init_pool(params)
-        p2 = en.init_pool(params)
-        for _ in range(10):
-            p1 = en.step(p1, params)
-            p2 = en.step(p2, params)
-        assert np.array_equal(p1.values, p2.values)
+        x1 = x2 = np.ones(params.pool_size)
+        for n in range(1, 11):
+            x1 = step_from(x1, params, n)
+            x2 = step_from(x2, params, n)
+        assert np.array_equal(x1, x2)
 
     def test_one_stream_per_step(self, monkeypatch):
         labels = []
@@ -155,8 +174,7 @@ class TestStep:
             return derive_stream(seed, labs)
 
         monkeypatch.setattr(en, "derive_stream", counting)
-        params = small_params(n_max=10)
-        en.step(en.init_pool(params), params)
+        en.run(small_params(n_max=2))
         assert labels == [(DOMAIN_LME, 1)]
 
     def test_parents_stay_in_their_block(self, monkeypatch):
@@ -169,33 +187,26 @@ class TestStep:
             monkeypatch.setattr(en, "_CHUNK", chunk)
             params = en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=pool_size, seed=2)
             labels = np.repeat(np.arange(en._BLOCKS, dtype=float), pool_size // en._BLOCKS)
-            pool = en.SamplePool(n=1, values=labels, logZ=0.0)
-            for _ in range(5):
-                pool = en.step(pool, params)
-            assert np.allclose(pool.values, labels, rtol=0.0, atol=1e-12)
+            x = labels
+            for n in range(1, 6):
+                x = step_from(x, params, n)
+            assert np.allclose(x, labels, rtol=0.0, atol=1e-12)
 
     def test_one_step_is_the_docstring_formula(self):
         # one chunk of 32 blocks of 100 draws i, then j, then the angles
-        # from the scale's stream
-        params = en.LmeParams(q=0.75, b=0.5, n_max=10, pool_size=3200, seed=6)
-        n = 3
-        start = en.SamplePool(
-            n=n, values=derive_stream(6, (DOMAIN_TEST, 8)).lognormal(size=3200), logZ=0.25
-        )
-        kept = start.values.copy()
-        got = en.step(start, params)
+        # from the generator passed in
+        q, eps, t_n = 0.75, 0.5 / 3, 1.0625
+        x = derive_stream(6, (DOMAIN_TEST, 8)).lognormal(size=3200)
+        kept = x.copy()
+        got = en.step(x, q, eps, t_n, [derive_stream(6, (DOMAIN_TEST, 9))])
 
-        rng = derive_stream(params.seed, (DOMAIN_LME, n))
+        rng = derive_stream(6, (DOMAIN_TEST, 9))
         offsets = np.arange(0, 3200, 100)[:, None]
         i = (rng.integers(0, 100, (32, 100)) + offsets).ravel()
         j = (rng.integers(0, 100, (32, 100)) + offsets).ravel()
-        sin2, cos2 = th.sample_sin2_cos2(th.ThetaLaw(params.b / n), rng, 3200)
-        q, x = params.q, start.values
-        t_n = en.exact_Tn(q, params.b / n)
-        assert np.array_equal(got.values, (sin2**q * x[i] + cos2**q * x[j]) / t_n)
-        assert got.n == n + 1
-        assert got.logZ == start.logZ + math.log(t_n)
-        assert np.array_equal(start.values, kept)  # input untouched
+        sin2, cos2 = th.sample_sin2_cos2(th.ThetaLaw(eps), rng, 3200)
+        assert np.array_equal(got, (sin2**q * x[i] + cos2**q * x[j]) / t_n)
+        assert np.array_equal(x, kept)  # input untouched
 
 
 class TestMapChunks:
@@ -229,6 +240,57 @@ class TestMapChunks:
         assert len(futures) == 2
         assert all(f.done() for f in futures)
 
+    @pytest.mark.parametrize(
+        "take_step",
+        [
+            lambda x, rngs: en.step(x, 0.75, 0.5, en.exact_Tn(0.75, 0.5), rngs),
+            lambda x, rngs: brw.step_cascade(x, 0.5, rngs),
+            lambda x, rngs: brw.step_derivative(x, np.zeros_like(x), rngs),
+            lambda x, rngs: brw.step_max(x, rngs),
+        ],
+        ids=["engine.step", "step_cascade", "step_derivative", "step_max"],
+    )
+    @pytest.mark.parametrize(
+        "size, groups, bad",
+        [(1000, 32, "^size "), (0, 1, "^size "), (3200, 3, "^rngs "), (3200, 0, "^rngs ")],
+    )
+    def test_steps_reject_a_layout_that_leaves_slots_unwritten(
+        self, take_step, size, groups, bad
+    ):
+        # 1000 samples fill 31 1/4 blocks; 3 generators of 10 blocks each
+        # leave blocks 30 and 31
+        rngs = [derive_stream(0, (DOMAIN_TEST, 3, g)) for g in range(groups)]
+        with pytest.raises(ValueError, match=bad):
+            take_step(np.ones(size), rngs)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        block=st.integers(1, 1500),
+        groups=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        chunk=st.integers(1, 1 << 14),
+    )
+    def test_every_slot_is_written_once_from_its_own_block(
+        self, monkeypatch, chunk_workers, workers, block, groups, chunk
+    ):
+        chunk_workers(workers)
+        monkeypatch.setattr(en, "_CHUNK", chunk)
+        size = block * en._BLOCKS
+        out = np.zeros(size)
+        rngs = [derive_stream(0, (DOMAIN_TEST, 4, g)) for g in range(groups)]
+
+        def kernel(sl, i, j, rng):
+            own = np.arange(sl.start, sl.stop) // block
+            assert np.array_equal(i // block, own)
+            assert np.array_equal(j // block, own)
+            out[sl] += 1.0
+
+        en.map_chunks(size, rngs, kernel)
+        assert np.array_equal(out, np.ones(size))
+
     def test_lme_run_starts_no_thread(self, chunk_workers):
         chunk_workers(2)
         before = threading.active_count()
@@ -256,6 +318,11 @@ class TestMapChunks:
 
 
 class TestRun:
+    def test_q_one_run_keeps_zero_logz_at_every_checkpoint(self):
+        rec = en.run(en.LmeParams(q=1.0, b=0.5, n_max=10, pool_size=4000, seed=1))
+        assert rec.ns == [1, 2, 4, 8, 10]
+        assert rec.logZ == [0.0] * 5
+
     def test_single_checkpoint_trivial(self):
         rec = en.run(en.LmeParams(q=0.8, b=0.5, n_max=1, pool_size=3200, seed=0))
         assert rec.ns == [1]
@@ -289,6 +356,12 @@ class TestRun:
             for n in range(1, params.n_max)
         )
         assert rec.logZ[-1] == pytest.approx(expected, abs=1e-12)
+        # one ln T_n added per step, in scale order
+        log_z, sums = 0.0, {1: 0.0}
+        for n in range(1, params.n_max):
+            log_z += math.log(en.exact_Tn(params.q, params.b / n))
+            sums[n + 1] = log_z
+        assert rec.logZ == [sums[n] for n in rec.ns]
 
 
 class TestOls:
@@ -309,21 +382,19 @@ class TestOls:
 
 class TestPaleyZygmund:
     def test_unit_pool(self):
-        pool = en.init_pool(en.LmeParams(q=0.75, b=0.5, n_max=5, pool_size=3200))
-        pz = en.paley_zygmund_bounds(pool, 2.0)
+        pz = en.paley_zygmund_bounds(np.ones(3200), 2.0)
         assert pz.empirical_p_gt_2 == 0.0 <= pz.upper_p_gt_2
         assert pz.empirical_p_ge_half == 1.0 >= pz.lower_p_ge_half
 
     def test_bounds_hold_on_evolved_pool(self):
         params = small_params(n_max=300, seed=5)
         rec = en.run(params)
-        pz = en.paley_zygmund_bounds(rec.final_pool, 2.0)
-        n = rec.final_pool.values.size
+        pz = en.paley_zygmund_bounds(rec.final_values, 2.0)
+        n = rec.final_values.size
         se = 1.0 / math.sqrt(n)  # Bernoulli SE upper bound
         assert pz.empirical_p_gt_2 <= pz.upper_p_gt_2 + 3 * se
         assert pz.empirical_p_ge_half >= pz.lower_p_ge_half - 3 * se
 
     def test_validation(self):
-        pool = en.init_pool(en.LmeParams(q=0.75, b=0.5, n_max=5, pool_size=3200))
         with pytest.raises(ValueError):
-            en.paley_zygmund_bounds(pool, 1.0)
+            en.paley_zygmund_bounds(np.ones(3200), 1.0)

@@ -189,11 +189,11 @@ def test_pool_matches_the_recursion_law():
     # One pool is read at every t, so the z-scores share a sign: each t is
     # gated on its own.
     q, b, n = 0.75, 0.5, 200
-    pool = en.run(en.LmeParams(q=q, b=b, n_max=n, pool_size=65536, seed=1)).final_pool
+    values = en.run(en.LmeParams(q=q, b=b, n_max=n, pool_size=65536, seed=1)).final_values
     ts = (0.1, 0.3, 1.0, 3.0, 10.0)
     law = la.grid_eval(la.iterate_phi(q, b, 1, n, la.make_grid()), ts)
     for t, phi in zip(ts, law):
-        mean, se = en.block_mean_se(np.exp(-t * pool.values))
+        mean, se = en.block_mean_se(np.exp(-t * values))
         assert abs(mean - phi) <= 5.0 * se
 
 

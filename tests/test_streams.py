@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lmelab import streams
+from lmelab import brw, chain, engine, prbm, streams
 from lmelab.streams import DOMAIN_TEST, derive_stream
 
 W_DOMAIN, W_MAJOR, W_MINOR = 4, 36, 24
@@ -75,3 +75,21 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     # a wrapped seed would alias: -1 would draw what 2^64 - 1 draws
     with pytest.raises(ValueError, match="seed"):
         derive_stream(seed, (DOMAIN_TEST, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: engine.LmeParams(q=0.75, b=0.5, n_max=4, pool_size=3200, seed=seed),
+        lambda seed: brw.BrwParams(beta=0.5, depth=2, replicas=3200, seed=seed),
+        lambda seed: chain.RgParams(N=64, b=0.3, n_max=8, seed=seed),
+        lambda seed: prbm.PrbmEnsemble((64, 128, 256), 0.1, 2, seed),
+        lambda seed: derive_stream(seed, (DOMAIN_TEST, 0, 0)),
+    ],
+    ids=["LmeParams", "BrwParams", "RgParams", "PrbmEnsemble", "derive_stream"],
+)
+def test_fractional_seeds_are_rejected(make):
+    # truncated, seed 1.5 would draw seed 1's streams
+    make(1)
+    with pytest.raises(ValueError, match="^seed "):
+        make(1.5)

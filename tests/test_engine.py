@@ -109,11 +109,28 @@ class TestExactTn:
         )
         assert en.exact_Tn(q, eps) == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.6, 0.8, 2.0])
-    @pytest.mark.parametrize("eps", [0.5, 1e-2, 1e-4])
+    @pytest.mark.parametrize(
+        ("eps", "q"),
+        [(eps, q) for q in (0.6, 0.8, 2.0) for eps in (0.5, 1e-2, 1e-4)]
+        + [
+            (2.0, 0.6),
+            (2.0, 2.0),
+            (1e-6, 0.8),
+            (1e-8, 0.6),
+            (1e-8, 0.8),
+            (1e-8, 2.0),
+            (0.5, 0.55),
+            (1e-6, 0.55),
+            (1e-2, 1.5001),
+            (1e-8, 1.5001),
+            (0.5, 3.0),
+            (1e-6, 3.0),
+        ],
+    )
     def test_matches_mpmath(self, q, eps):
         # the closed-form density and the T_n integrand written afresh in
-        # mpmath; both are even, so twice the integral over [0, pi/4]
+        # mpmath; both are even, so twice the integral over [0, pi/4], cut
+        # at eps 4^k below pi/4 so that every scale of the tail is resolved
         with mp.workdps(30):
             s = mp.pi * mp.mpf(eps) / 2
             mq = mp.mpf(q)
@@ -122,7 +139,11 @@ class TestExactTn:
                 r = 2 * s / (mp.pi * (s**2 * mp.cos(2 * t) ** 2 + mp.sin(2 * t) ** 2))
                 return ((mp.sin(t) ** 2) ** mq + (mp.cos(t) ** 2) ** mq) * r
 
-            cuts = [c for c in (mp.mpf(eps), 10 * mp.mpf(eps)) if c < mp.pi / 4]
+            cuts = []
+            c = mp.mpf(eps)
+            while c < mp.pi / 4:
+                cuts.append(c)
+                c *= 4
             ref = float(2 * mp.quad(integrand, [0, *cuts, mp.pi / 4]))
         # 1e-10 absolute is expect_theta's tolerance
         assert abs(en.exact_Tn(q, eps) - ref) <= 1e-10

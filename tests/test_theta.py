@@ -2,13 +2,16 @@
 and the regularization bounds of the scale family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from lmelab import theta as th
+from lmelab.errors import QuadratureWarning
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -16,6 +19,28 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     n = len(x)
     f = cdf(x)
     return max(np.max(f - np.arange(n) / n), np.max(np.arange(1, n + 1) / n - f))
+
+
+def density_integral(law: th.ThetaLaw, a: float, b: float) -> float:
+    """int_a^b theta_density in theta by scipy's quad, split at 0 and at
+    +-eps 2^k below pi/4: an oracle for the density that shares no code
+    with expect_theta, which integrates in the law's uniform variable."""
+    cuts = [0.0]
+    p = law.epsilon
+    while p < math.pi / 4:
+        cuts += [-p, p]
+        p *= 2.0
+    points = sorted(c for c in cuts if a < c < b)
+    val, _ = integrate.quad(
+        lambda t: th.theta_density(law, t),
+        a,
+        b,
+        points=points or None,
+        epsabs=1e-12,
+        epsrel=0.0,
+        limit=400,
+    )
+    return val
 
 
 class TestDensity:
@@ -34,7 +59,8 @@ class TestDensity:
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
     def test_normalization(self, eps):
         law = th.ThetaLaw(eps)
-        assert th.expect_theta(law, lambda t: 1.0) == pytest.approx(1.0, abs=1e-8)
+        total = density_integral(law, -math.pi / 4, math.pi / 4)
+        assert total == pytest.approx(1.0, abs=1e-8)
 
     @given(st.floats(-math.pi / 4, math.pi / 4), st.floats(1e-4, 2.0))
     @settings(max_examples=100, deadline=None)
@@ -46,8 +72,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 0.3, 1.0, 2.0])
     def test_scalar_paths_match_array_path(self, eps):
-        # one density formula behind theta_density's scalar and array paths
-        # and expect_theta's math-scalar integrand
+        # theta_density's scalar path returns a float equal to its array path
         law = th.ThetaLaw(eps)
         half = np.linspace(0.0, math.pi / 4, 101)
         half = np.concatenate([half, [p for p in (eps, 10 * eps) if p < math.pi / 4]])
@@ -57,8 +82,6 @@ class TestDensity:
             scalar = th.theta_density(law, t)
             assert isinstance(scalar, float)
             assert abs(scalar / r - 1.0) <= 1e-15
-            integrand = th._density(law.s, math.sin(2.0 * t), math.cos(2.0 * t))
-            assert abs(integrand / r - 1.0) <= 1e-15
         with pytest.raises(ValueError):
             th.theta_density(law, math.pi / 4 + 1e-9)
         with pytest.raises(ValueError):
@@ -75,7 +98,7 @@ class TestDensity:
         law = th.ThetaLaw(0.05)
         for t in (-0.7, -0.1, 0.0, 0.3, 0.78):
             t = max(-math.pi / 4, min(math.pi / 4, t))
-            num = th.expect_theta(law, lambda x, t=t: 1.0 if x <= t else 0.0)
+            num = density_integral(law, -math.pi / 4, t)
             assert th.theta_cdf(law, t) == pytest.approx(num, abs=1e-7)
 
 
@@ -83,11 +106,13 @@ class TestSampler:
     def test_antithetic_odd_map(self):
         # the inverse-CDF draw maps U and 1 - U to opposite angles
         class Uniforms:
+            # a fresh array per call, as Generator.random returns: the
+            # samplers compute in the uniforms' buffer
             def __init__(self, u):
                 self.u = u
 
             def random(self, size=None):
-                return self.u
+                return self.u.copy()
 
         law = th.ThetaLaw(0.3)
         u = np.array([1e-6, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-6])
@@ -118,6 +143,25 @@ class TestSampler:
         theta = th.sample_theta(law, np.random.default_rng(seed), 1000)
         assert np.allclose(s2, np.sin(theta) ** 2, atol=1e-13)
         assert np.allclose(s2 + c2, 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.3, 1e-3, 1e-9, 1e-12])
+    def test_draws_match_reference_expressions(self, eps):
+        # the buffered draws against the plain expressions, temporaries and
+        # all, on the same uniforms: equal bit for bit
+        law = th.ThetaLaw(eps)
+        uniforms = np.random.default_rng(41).random(5000)
+        u = law.s * np.tan(math.pi * (uniforms - 0.5))
+        u2 = u * u
+        r = np.sqrt(1.0 + u2)
+        sin2 = u2 / (2.0 * r * (1.0 + r))
+        s2, c2 = th.sample_sin2_cos2(law, np.random.default_rng(41), 5000)
+        assert np.array_equal(s2, sin2)
+        assert np.array_equal(c2, 1.0 - sin2)
+        theta = th.sample_theta(law, np.random.default_rng(41), 5000)
+        assert np.array_equal(theta, 0.5 * np.arctan(u))
+        one = th.sample_theta(law, np.random.default_rng(41))
+        assert isinstance(one, float)
+        assert one == theta[0]
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-12])
     def test_sin2_relative_accuracy_at_small_eps(self, eps):
@@ -163,6 +207,40 @@ class TestExpectations:
         assert th.expect_theta(law, lambda t: math.sin(2 * t)) == pytest.approx(
             0.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+    def test_normalization_at_tiny_eps(self, eps):
+        # almost all the mass sits within 10 eps, but the 1/theta^2 tail
+        # beyond it still carries 5% of it
+        assert th.expect_theta(th.ThetaLaw(eps), lambda t: 1.0) == pytest.approx(
+            1.0, abs=1e-10
+        )
+
+    @given(st.floats(math.log(1e-12), math.log(4.0)).map(math.exp))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_and_odd_moments_without_warning(self, eps):
+        law = th.ThetaLaw(eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            one = th.expect_theta(law, lambda t: 1.0)
+            odd = th.expect_theta(law, lambda t: math.sin(2.0 * t))
+        assert abs(one - 1.0) <= 1e-10
+        assert abs(odd) <= 1e-10
+
+    @pytest.mark.parametrize(("eps", "most"), [(0.5 / 199, 300), (0.5 / 10**4, 400)])
+    def test_tn_integrand_calls(self, eps, most):
+        # the T_n quadrature at q 0.8 on the lme benchmark's last scale
+        # (n 199 at b 0.5) and on the simulate-lme default's (n 10^4)
+        calls = 0
+
+        def tn(t):
+            nonlocal calls
+            calls += 1
+            return (math.sin(t) ** 2) ** 0.8 + (math.cos(t) ** 2) ** 0.8
+
+        th.expect_theta(th.ThetaLaw(eps), tn)
+        assert calls <= most
 
     def test_sin2_scaling_at_small_eps(self):
         eps = 1e-3

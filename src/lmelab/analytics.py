@@ -15,7 +15,7 @@ all thresholds derive from T:
 * ``H(q) = q T'(q) - T(q)`` changes sign exactly once on (1/2, inf); its
   root ``q_c`` separates the mean-dominated regime from the frozen one.
 * ``p_star(q)`` is the supremum of bounded moment orders, the root of
-  ``T(pq) - p T(q)`` in p > 1 (unbounded for q <= 1).
+  ``T(pq) - p T(q)`` in p > 1 (``math.inf`` for q <= 1).
 * ``q_k`` is the root in q of ``T(kq) - k T(q)`` for integer k >= 2.
 * ``h_exponent(q)``, past q_c, is the order h in (0, 1) maximizing
   ``T(qh) - h T(q)``, the freezing-side decay order.
@@ -34,7 +34,6 @@ from scipy.special import digamma, gammaln, gammasgn, rgamma
 from .errors import ContractViolation, _check_ge0, _check_q
 
 __all__ = [
-    "UNBOUNDED",
     "T_of_q",
     "T_quadrature",
     "T_prime",
@@ -48,19 +47,6 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_TOL = 1e-10  # absolute and relative, of T_quadrature's two integrals
-
-
-class _Unbounded:
-    """Sentinel for an unbounded moment order (never a float inf in tables)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "unbounded"
-
-
-#: Distinguished "no finite moment boundary" value returned by :func:`p_star`.
-UNBOUNDED = _Unbounded()
 
 
 def T_of_q(q: float) -> float:
@@ -160,18 +146,18 @@ def find_qc() -> float:
     return _bracketed_root(H_of_q, 1.1, 8.0)
 
 
-def p_star(q: float):
+def p_star(q: float) -> float:
     """Moment boundary p*(q): root in p > 1 of ``T(pq) - p T(q)``.
 
-    Returns :data:`UNBOUNDED` for q <= 1 where the bracket never closes
-    (the defining expression is positive for every p).  Strictly decreasing
+    Returns ``math.inf`` for q <= 1, where every moment is finite (the
+    defining expression is positive for every p).  Strictly decreasing
     on (1, q_c) with limit 1 at q_c.
     """
     qc = find_qc()
     if not (0.5 < q < qc):
         raise ValueError(f"p_star requires q in (1/2, q_c={qc:.6f}), got {q}")
     if q <= 1.0:
-        return UNBOUNDED
+        return math.inf
 
     def g(p: float) -> float:
         return T_of_q(p * q) - p * T_of_q(q)

@@ -141,7 +141,6 @@ class ChainState:
     V: np.ndarray
     resonance_log: list[RotationEvent] = field(default_factory=list)
     resonance_counts: dict[int, int] = field(default_factory=dict)
-    overlap_counts: dict[int, int] = field(default_factory=dict)
     rho0_hat: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -248,7 +247,6 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
             )
         )
 
-    overlaps = 0
     if rotations:
         I, J, c, s, e_i, e_j = (np.array(col) for col in zip(*rotations))
         E[I] = e_i
@@ -263,11 +261,9 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
             cb, sb = c[blk, None], s[blk, None]
             V[I[blk]] = cb * vi - sb * vj
             V[J[blk]] = sb * vi + cb * vj
-        overlaps = int(overlapped.sum())
         for ev, ov in zip(events, overlapped.tolist()):
             ev.overlapped = ov
         state.resonance_log.extend(events)
-    state.overlap_counts[m] = overlaps
     state.n = m
     return state
 
@@ -334,7 +330,7 @@ def run_flow(params: RgParams) -> dict:
             rho0 = state.rho0_hat[scale]
             out["predicted_density"][scale] += rho0 * (params.b / scale) ** params.a
             out["beta_m"][scale] += 2.0 * rho0 * _SQRT_2_OVER_PI
-        total_overlaps += sum(state.overlap_counts.values())
+        total_overlaps += sum(ev.overlapped for ev in state.resonance_log)
         out["rotations"] += len(state.resonance_log)
         out["last_state"] = state
     for key in ("resonance_density", "predicted_density", "beta_m"):

@@ -38,6 +38,12 @@ def _check_q(q) -> None:
         raise ValueError(f"q must exceed 1/2 and be finite, got {q}")
 
 
+def _check_q_below_one(q) -> None:
+    # the Laplace route and the factorial bound hold for q in (1/2, 1) only
+    if not 0.5 < q < 1.0:
+        raise ValueError(f"q in (1/2, 1) is required, got {q}")
+
+
 def _check_count(name: str, value) -> None:
     if not (hasattr(value, "__index__") and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from . import brw, chain, engine, laplace, prbm, streams
 from .errors import (
     ConfigError, _check_count, _check_distinct, _check_ge0, _check_gt0, _check_q,
+    _check_q_below_one,
 )
 
 __all__ = ["SCHEMAS", "parse_config"]
@@ -67,7 +68,7 @@ SCHEMAS: dict[str, dict] = {
         "track_powers": (_list(float), (2.0, 3.0), _named("track_powers", _check_distinct)),
     },
     "laplace": {
-        "q": (float, 0.75, _checked("q", laplace._check_q)),
+        "q": (float, 0.75, _checked("q", _check_q_below_one)),
         "b": (float, 0.5, _named("b", _check_gt0)),
         "init": (str, "delta", _checked("init", laplace._check_init)),
         # scales of the recursion-only route (refine = false); with refine

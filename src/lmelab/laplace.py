@@ -73,7 +73,9 @@ from scipy.optimize import NoConvergence, newton_krylov
 from scipy.sparse.linalg import LinearOperator
 
 from . import analytics, theta
-from .errors import ContractViolation, QuadratureWarning, _check_count, _check_gt0
+from .errors import (
+    ContractViolation, QuadratureWarning, _check_count, _check_gt0, _check_q_below_one,
+)
 
 __all__ = [
     "GridFunction",
@@ -137,11 +139,6 @@ class GridFunction:
         slopes = np.diff(self.phi) / np.diff(self.t)
         if np.any(np.diff(slopes) < -1e-8):
             raise ContractViolation("phi fails the convexity spot check")
-
-
-def _check_q(q: float) -> None:
-    if not 0.5 < q < 1.0:
-        raise ValueError(f"q in (1/2, 1) is required on the Laplace route, got {q}")
 
 
 def _check_init(init: str) -> None:
@@ -381,17 +378,20 @@ def iterate_phi(
     """Apply the scale recursion for n = n_start .. n_end - 1.
 
     The expectation over the angle at eps = b/n uses a fixed folded
-    Gauss-Legendre rule, normalized by the same rule's T_n: that keeps the
-    rule's mean exactly one, but the spline evaluation of the grid body
-    lets the grid mean drift upward: from the delta start at b = 0.5,
-    ``moments_from_phi(...)[0] - 1`` is 2.5e-6 at q = 0.6 after 250 steps
-    and 2.0e-5 after 1000.  The series head starts from
+    Gauss-Legendre rule, normalized by the same rule's T_n, which keeps the
+    rule's mean exactly one.  The grid mean still drifts upward: from the
+    delta start at b = 0.5, ``moments_from_phi(...)[0] - 1`` is 1.1e-6 at
+    q = 0.6 after 250 steps, 1.5e-5 after 1000 and 6.4e-5 after 4000.  The
+    spline evaluation of the grid body is not the cause: 800 nodes instead
+    of 400 read 1.4e-6 and 1.5e-5 after 250 and 1000 steps, and t_max 1e5
+    leaves the 5.5e-6 after 500 steps as it is, while a 48-node rule in
+    place of the 24-node one reads -2.7e-7 there.  The series head starts from
     ``grid.series`` and takes each step with the same rule: with
     A = sin^{2q}th/T_n and B = cos^{2q}th/T_n,
     c_k' = sum_j c_j c_{k-j} E[A^j B^{k-j}] for k = 2..4, while c0 = 1 and
     c1 = -1 stay pinned.
     """
-    _check_q(q)
+    _check_q_below_one(q)
     _check_gt0("b", b)
     _check_count("n_start", n_start)
     if n_end < n_start:
@@ -685,7 +685,7 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     grid's and the kernel's constants are built once: an evaluation takes
     no fresh pages from the heap.
     """
-    _check_q(q)
+    _check_q_below_one(q)
     solve = _StationarySolve(q, grid)
     t, fidx = grid.t, solve.fidx
     try:
@@ -728,7 +728,7 @@ def stationary_residual(q: float, grid: GridFunction, t_point: float) -> float:
     comes from a five-point centered difference in ln t and the kernel
     integral above the switch angle from adaptive Gauss-Kronrod quadrature.
     """
-    _check_q(q)
+    _check_q_below_one(q)
     if not grid.t_min <= t_point <= grid.t_max:
         raise ValueError(f"t={t_point} outside grid [{grid.t_min}, {grid.t_max}]")
     ker = _kernel(q)

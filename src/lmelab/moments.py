@@ -29,7 +29,9 @@ from scipy.interpolate import CubicSpline
 from scipy.special import beta, betainc
 
 from . import analytics, theta
-from .errors import ContractViolation, _check_count, _check_gt0, _check_q
+from .errors import (
+    ContractViolation, _check_count, _check_gt0, _check_q, _check_q_below_one,
+)
 
 __all__ = [
     "MomentTable",
@@ -128,8 +130,7 @@ def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
     route's series head assumes.  ``tests/test_moments.py`` exercises it in
     ``test_factorial_bound_certificate_holds``.
     """
-    if not 0.5 < q < 1.0:
-        raise ValueError(f"factorial bound requires q in (1/2, 1), got {q}")
+    _check_q_below_one(q)
     tq = analytics.T_of_q(q)
     k0 = None
     for k in range(2, 10_001):
@@ -158,16 +159,16 @@ def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
 def _angle_moments(q: float, b: float, n_max: int, kmax: int):
     """Per-step angle moments at eps_n = b/n for n = 1..n_max-1.
 
-    Tabulates, with the 48-node folded rule on a log grid of scales,
-    T_eps(jq) = E[sin^{2qj} + cos^{2qj}] for j = 1..kmax (columns 0..kmax-1)
-    and the joint moments B_eps(j, m) = E[sin^{2qj} cos^{2qm}] for
-    j + m <= kmax (column col[(j, m)]), then evaluates one cubic spline in
-    ln(eps) through all columns over the whole schedule, so the exact
-    moment recursion can run for 10^5 steps without one quadrature per
-    step.  All columns are smooth in ln(eps) (power series in eps^{2q-1},
-    eps, ...).  Returns (rows, col) with rows[n-1] at eps_n.
+    Tabulates, with the 48-node folded rule on a log grid of scales, the
+    symmetric pair moments P_eps(j, m) = E[S^{qj} C^{qm} + S^{qm} C^{qj}]
+    (S = sin^2, C = cos^2) for 0 <= j <= m, 1 <= j + m <= kmax, in column
+    col[(j, m)]; P_eps(0, m) is T_eps(mq).  It then evaluates one cubic
+    spline in ln(eps) through all columns over the whole schedule, so the
+    exact moment recursion can run for 10^5 steps without one quadrature
+    per step.  All columns are smooth in ln(eps) (power series in
+    eps^{2q-1}, eps, ...).  Returns (rows, col) with rows[n-1] at eps_n.
     """
-    pairs = [(j, m) for j in range(1, kmax) for m in range(1, kmax - j + 1)]
+    pairs = [(j, k - j) for k in range(1, kmax + 1) for j in range(k // 2 + 1)]
     lo, hi = math.log(b / n_max * 0.99), math.log(b * 1.01)
     n_nodes = max(16, int(64 * (hi - lo) / math.log(10.0)))
     grid = np.linspace(lo, hi, n_nodes)
@@ -176,13 +177,12 @@ def _angle_moments(q: float, b: float, n_max: int, kmax: int):
         nodes, w = theta.folded_rule(theta.ThetaLaw(math.exp(u)), nodes_per_panel=48)
         s2 = np.sin(nodes) ** 2
         c2 = 1.0 - s2
-        table.append(
-            [float((s2 ** (q * j) + c2 ** (q * j)) @ w) for j in range(1, kmax + 1)]
-            + [float((s2 ** (q * j) * c2 ** (q * m)) @ w) for j, m in pairs]
-        )
+        sp = [s2 ** (q * j) for j in range(kmax + 1)]
+        cp = [c2 ** (q * j) for j in range(kmax + 1)]
+        table.append([float((sp[j] * cp[m] + sp[m] * cp[j]) @ w) for j, m in pairs])
     spl = CubicSpline(grid, np.array(table))
     rows = spl([math.log(b / n) for n in range(1, n_max)]).tolist()
-    return rows, {jm: kmax + i for i, jm in enumerate(pairs)}
+    return rows, {jm: i for i, jm in enumerate(pairs)}
 
 
 def moment_trajectory(
@@ -191,8 +191,13 @@ def moment_trajectory(
     """Exact moments E[ratio_n^k] for n = 1..n_max, k = 1..kmax.
 
     Row n-1 holds scale n; the recursion starts from the deterministic unit
-    pool (all moments 1) and uses the exact angle law at eps = b/n.  Columns
-    whose denominator is not positive (q at or above the threshold q_k) are
+    pool (all moments 1) and uses the exact angle law at eps = b/n.  With
+    independent parents X, X' and a new value (S^q X + C^q X')/T_eps(q),
+
+        m_k' = (1/2) sum_{j=0}^{k} C(k, j) P_eps(j, k-j) m_j m_{k-j} / P_eps(0, 1)^k,
+
+    summed once over each unordered pair {j, k-j}.  Columns whose
+    denominator is not positive (q at or above the threshold q_k) are
     still propagated; they simply do not converge.
     """
     _check_q(q)
@@ -202,17 +207,23 @@ def moment_trajectory(
     if n_max == 1:
         return np.ones((1, kmax))  # the unit pool; no angle moment is needed
     rows, col = _angle_moments(q, b, n_max, kmax)
+    # (coefficient, column, j, k - j) per unordered pair, the halving of the
+    # j = k/2 term folded into its coefficient
+    terms = [
+        [
+            (math.comb(k, j) * (0.5 if 2 * j == k else 1.0), col[(j, k - j)], j, k - j)
+            for j in range(k // 2 + 1)
+        ]
+        for k in range(2, kmax + 1)
+    ]
     out = np.empty((n_max, kmax))
     out[0] = 1.0
-    m = np.ones(kmax + 1)  # m[k] = E[ratio^k], m[0] unused
+    m = [1.0] * (kmax + 1)  # m[k] = E[ratio^k]; m[0] = m[1] = 1 throughout
     for n, row in enumerate(rows, start=1):
-        t1 = row[0]
-        new = np.ones(kmax + 1)
-        for k in range(2, kmax + 1):
-            acc = row[k - 1] * m[k]
-            for j in range(1, k):
-                acc += math.comb(k, j) * row[col[(j, k - j)]] * m[j] * m[k - j]
-            new[k] = acc / t1**k
-        m = new
+        t1 = row[0]  # P_eps(0, 1) = T_eps(q)
+        m = m[:2] + [
+            sum(c * row[i] * m[j] * m[l] for c, i, j, l in ks) / t1**k
+            for k, ks in enumerate(terms, start=2)
+        ]
         out[n] = m[1:]
     return out

@@ -126,12 +126,6 @@ def theta_cdf(law: ThetaLaw, theta):
     return float(out) if np.isscalar(theta) else out
 
 
-def _peak_edges(epsilon: float) -> list[float]:
-    # The density has a peak of height ~1/eps and width ~eps at the origin;
-    # panel edges at eps and 10 eps (those below pi/4) resolve it.
-    return [p for p in (epsilon, 10.0 * epsilon) if p < _QUARTER_PI]
-
-
 def expect_theta(
     law: ThetaLaw,
     f: Callable[[float], float],
@@ -219,12 +213,15 @@ def folded_rule(law: ThetaLaw, nodes_per_panel: int):
     """Fixed Gauss-Legendre rule for E[f] with f even in theta.
 
     Returns (theta_nodes, weights) on [0, pi/4] with the density folded in
-    (weights sum to ~1).  Panels split at eps and 10 eps around the density
-    peak, then geometrically up to pi/4.  Intended for vectorized iteration
-    where one rule is reused across many evaluation points.
+    (weights sum to ~1).  The density has a peak of height ~1/eps and width
+    ~eps at the origin: one panel [0, eps] covers it, and ``gauss_panels``'
+    geometric bridge its ~1/theta^2 tail (a single panel when eps >= pi/4).
+    Intended for vectorized iteration where one rule is reused across many
+    evaluation points.
     """
+    eps = law.epsilon
     return gauss_panels(
-        [0.0, *_peak_edges(law.epsilon)],
+        [0.0, eps] if eps < _QUARTER_PI else [0.0],
         nodes_per_panel,
         lambda t: 2.0 * theta_density(law, t),
     )

@@ -14,18 +14,17 @@ all thresholds derive from T:
 
 * ``H(q) = q T'(q) - T(q)`` changes sign exactly once on (1/2, inf); its
   root ``q_c`` separates the mean-dominated regime from the frozen one.
-* ``p_star(q)`` is the supremum of bounded moment orders, the root of
-  ``T(pq) - p T(q)`` in p > 1 (``math.inf`` for q <= 1).
-* ``q_k`` is the root in q of ``T(kq) - k T(q)`` for integer k >= 2.
-* ``h_exponent(q)``, past q_c, is the order h in (0, 1) maximizing
-  ``T(qh) - h T(q)``, the freezing-side decay order.
+* ``moment_exponent(q, p) = T(pq) - p T(q)``: ``p_star(q)``, the supremum
+  of bounded moment orders, is its root in p > 1 (``math.inf`` for q <= 1);
+  ``q_k`` its root in q at p = k >= 2; and ``h_exponent(q)``, past q_c, the
+  order h in (0, 1) maximizing it, the freezing-side decay order.
 * ``d_of_q(q, b) = b T(q) / (q - 1)`` is the multifractal dimension.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
@@ -39,6 +38,7 @@ __all__ = [
     "T_prime",
     "H_of_q",
     "find_qc",
+    "moment_exponent",
     "p_star",
     "find_qk",
     "h_exponent",
@@ -146,8 +146,19 @@ def find_qc() -> float:
     return _bracketed_root(H_of_q, 1.1, 8.0)
 
 
+def moment_exponent(q: float, p: float) -> float:
+    """``T(pq) - p T(q)``, which decides what moments of the normalized ratio
+    stay finite: its zero in p > 1 is :func:`p_star`, its zero in q at p = k
+    is :func:`find_qk`, its maximizer over p = h past q_c is
+    :func:`h_exponent`, and its p-derivative at p = 1 is :func:`H_of_q`.  It
+    is 0 at p = 1.  The limit moments' recursion divides by it at p = l, and
+    -moment_exponent(q, k) = kT(q) - T(kq) are the stationary equation's
+    decay rates."""
+    return T_of_q(p * q) - p * T_of_q(q)
+
+
 def p_star(q: float) -> float:
-    """Moment boundary p*(q): root in p > 1 of ``T(pq) - p T(q)``.
+    """Moment boundary p*(q): root in p > 1 of :func:`moment_exponent`.
 
     Returns ``math.inf`` for q <= 1, where every moment is finite (the
     defining expression is positive for every p).  Strictly decreasing
@@ -159,9 +170,7 @@ def p_star(q: float) -> float:
     if q <= 1.0:
         return math.inf
 
-    def g(p: float) -> float:
-        return T_of_q(p * q) - p * T_of_q(q)
-
+    g = partial(moment_exponent, q)
     lo = 1.0 + 1e-9
     hi = 2.0
     while g(hi) > 0.0:
@@ -173,18 +182,14 @@ def p_star(q: float) -> float:
 
 
 def find_qk(k: int) -> float:
-    """Threshold q_k: root in (1, q_c) of ``T(kq) - k T(q)``; decreasing in k."""
-    if k < 2:
+    """Threshold q_k: root in (1, q_c) of moment_exponent(q, k); decreasing in k."""
+    if not (hasattr(k, "__index__") and k >= 2):
         raise ValueError(f"k must be an integer >= 2, got {k}")
-
-    def g(q: float) -> float:
-        return T_of_q(k * q) - k * T_of_q(q)
-
-    return _bracketed_root(g, 1.0, find_qc())
+    return _bracketed_root(lambda q: moment_exponent(q, k), 1.0, find_qc())
 
 
 def h_exponent(q: float) -> float:
-    """The order h in (0,1) maximizing T(qh) - h T(q) (bounded Brent search).
+    """The order h in (0,1) maximizing moment_exponent(q, h) (bounded Brent).
 
     Only meaningful past the critical index, where the maximum is positive
     and drives the decay of the h-th moment of the normalized ratio.
@@ -192,20 +197,15 @@ def h_exponent(q: float) -> float:
     qc = find_qc()
     if not q > qc:
         raise ValueError(f"h_exponent requires q > q_c = {qc:.6f}, got {q}")
-    tq = T_of_q(q)
-
-    def g(h: float) -> float:
-        return T_of_q(q * h) - h * tq
-
-    # g is strictly concave in h on (1/(2q), 1)
+    # moment_exponent(q, h) is strictly concave in h on (1/(2q), 1)
     res = minimize_scalar(
-        lambda h: -g(h),
+        lambda h: -moment_exponent(q, h),
         bounds=(0.5 / q + 1e-9, 1.0 - 1e-12),
         method="bounded",
         options={"xatol": 1e-10},
     )
     h = float(res.x)
-    if g(h) <= 0.0:
+    if moment_exponent(q, h) <= 0.0:
         raise ValueError(f"maximum of T(qh) - hT(q) not positive at q={q}")
     return h
 

@@ -49,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import _BLOCKS, _check_blocks, block_mean_se, map_chunks, mix_pairs, ols
-from .errors import _check_ge0
+from .errors import _check_count, _check_ge0
 from .streams import DOMAIN_BRW, _check_seed, derive_stream
 
 __all__ = [
@@ -337,6 +337,9 @@ def tree_samples(
     independent oracle the resampling pool is checked against at small
     depth.
     """
+    _check_ge0("beta", beta)
+    _check_depth(depth)
+    _check_count("n_trees", n_trees)
     if depth > _TREE_DEPTH_CAP:
         raise ValueError(f"explicit trees capped at depth {_TREE_DEPTH_CAP}")
     x = np.zeros((n_trees, 1))

@@ -347,8 +347,8 @@ def paley_zygmund_bounds(values: np.ndarray, p: float) -> PaleyZygmund:
     ``tests/test_engine.py::TestPaleyZygmund`` checks the sandwich on an
     evolved pool.
     """
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must exceed 1 and be finite, got {p}")
     m_p = float(np.mean(values**p))
     lower = (0.5 / m_p ** (1.0 / p)) ** (p / (p - 1.0))
     return PaleyZygmund(

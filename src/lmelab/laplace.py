@@ -167,13 +167,18 @@ def make_grid(init: str = "delta") -> GridFunction:
     return GridFunction(t=t, phi=phi, series=series)
 
 
+def _series_head(series: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """c0 + c1 x + c2 x^2 + c3 x^3 + c4 x^4, in Horner form."""
+    c0, c1, c2, c3, c4 = series
+    return c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+
+
 def _evaluator(grid: GridFunction):
     """Vectorized phi(arg) on arrays of any shape: spline in ln t, series
     head, clamped top end."""
     lnt = np.log(grid.t)
     cs = CubicSpline(lnt, grid.phi, extrapolate=False)
     lo, hi = lnt[0], lnt[-1]
-    c0, c1, c2, c3, c4 = grid.series
     last = float(grid.phi[-1])
 
     def ev(args: np.ndarray) -> np.ndarray:
@@ -184,8 +189,7 @@ def _evaluator(grid: GridFunction):
         mid = ~(small | big)
         out[mid] = cs(la[mid])
         if small.any():
-            x = args[small]
-            out[small] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+            out[small] = _series_head(grid.series, args[small])
         if big.any():
             out[big] = last
         return out
@@ -394,6 +398,7 @@ def iterate_phi(
     _check_q_below_one(q)
     _check_gt0("b", b)
     _check_count("n_start", n_start)
+    _check_count("n_end", n_end)
     if n_end < n_start:
         raise ValueError(f"n_end must be >= n_start = {n_start}, got {n_end}")
     t = grid.t
@@ -651,9 +656,7 @@ def _set_collar(solve: _StationarySolve, phi: np.ndarray) -> GridFunction:
     the collar."""
     c, _ = solve.collar_fit(phi)
     series = (1.0, -1.0, float(c[0]), float(c[1]), float(c[2]))
-    c0, c1, c2, c3, c4 = series
-    x = solve.t[solve.collar]
-    phi[solve.collar] = c0 + x * (c1 + x * (c2 + x * (c3 + x * c4)))
+    phi[solve.collar] = _series_head(series, solve.t[solve.collar])
     return GridFunction(t=solve.t, phi=phi, series=series)
 
 
@@ -776,8 +779,9 @@ def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
     terms absorbing series truncation); the estimated mean M_1 is a real
     diagnostic of mean preservation, not pinned.
     """
-    if not 1 <= kmax <= 4:
-        raise ValueError("kmax must be in 1..4")
+    _check_count("kmax", kmax)
+    if kmax > 4:
+        raise ValueError(f"kmax must be in 1..4, got {kmax}")
     c, resid = _SeriesFit(grid.t, (1.0,), 0.0)(grid.phi)
     if resid > 1e-6:
         warnings.warn(

@@ -2,17 +2,17 @@
 
 The limit law of the normalized ratio has moments M_k(q) obeying
 
-    M_l = [ sum_{j=1}^{l-1} C(l,j) M_j M_{l-j} I(j, l-j) ] / (T(lq) - l T(q))
+    M_l = [ sum_{j=1}^{l-1} C(l,j) M_j M_{l-j} I(j, l-j) ] / lambda_q(l)
 
 with M_1 = 1 and the pair integral
 
     I(j, m) = (1/2) int_0^{pi/4} sin^{2qj-2} t cos^{2qm-2} t dt
             = (1/4) B(1/2; qj - 1/2, qm - 1/2)
 
-(x = sin^2 t turns it into an incomplete Beta function).  M_l is finite
-exactly while its denominator T(lq) - l T(q) is positive (all l for
-q <= 1, l below the threshold index for q > 1); tables truncate at the
-first non-positive one.
+(x = sin^2 t turns it into an incomplete Beta function).  The denominator
+lambda_q(l) = T(lq) - l T(q) is :func:`analytics.moment_exponent`; M_l is
+finite exactly while it is positive (all l for q <= 1, l below the
+threshold index for q > 1); tables truncate at the first non-positive one.
 
 Also here: the factorial growth bound M_k <= C(q)^k k! for q in (1/2, 1),
 and the exact finite-scale moment trajectory E[ratio_n^k] driven by the
@@ -45,14 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Limiting moments M_1..M_valid_upto at index q (b never enters)."""
+    """Limiting moments M_1..M_len(M) at index q (b never enters), fewer
+    than kmax when truncated; M_l's denominator is moment_exponent(q, l)."""
 
     q: float
     kmax: int
     M: tuple[float, ...]
-    valid_upto: int
-    denominators: tuple[float, ...]  # T(lq) - l T(q) for l = 1..valid_upto
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -82,14 +80,12 @@ def pair_integral(q: float, j: int, m: int) -> float:
 
 def moment_table(q: float, kmax: int) -> MomentTable:
     """Fill M_1..M_kmax by the recursion; stop at the first l whose
-    denominator T(lq) - l T(q) is not positive (M_l is infinite there)."""
+    denominator moment_exponent(q, l) is not positive (M_l is infinite there)."""
     _check_q(q)
     _check_count("kmax", kmax)
-    tq = analytics.T_of_q(q)
     m = [1.0]
-    denoms = [analytics.T_of_q(q) - tq]  # 0 by construction for l = 1
     for l in range(2, kmax + 1):
-        denom = analytics.T_of_q(l * q) - l * tq
+        denom = analytics.moment_exponent(q, l)
         if denom <= 0.0:
             break
         acc = 0.0
@@ -101,25 +97,18 @@ def moment_table(q: float, kmax: int) -> MomentTable:
                 * pair_integral(q, j, l - j)
             )
         m.append(acc / denom)
-        denoms.append(denom)
-    return MomentTable(
-        q=q,
-        kmax=kmax,
-        M=tuple(m),
-        valid_upto=len(m),
-        denominators=tuple(denoms),
-        truncated=len(m) < kmax,
-    )
+    return MomentTable(q=q, kmax=kmax, M=tuple(m))
 
 
-def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
+def factorial_bound_constant(q: float, kmax: int) -> FactorialBound:
     """Construct C(q) from the least k0 with contraction factor below one.
 
-    The factor is k/(T(qk) - kT(q)) times I(1, k-1), the pair integral of
-    tan^{2q-2} cos^{2qk-4}.  For q in (1/2, 1) the first term tends to
-    -1/T(q) > 0 while the integral vanishes, so k0 exists (the search gives
-    up at k = 10^4); C(q) = max_{j<k0} (M_j/j!)^{1/j} then bounds every
-    tabulated moment by C^k k!.
+    The factor is k/moment_exponent(q, k) times I(1, k-1), the pair
+    integral of tan^{2q-2} cos^{2qk-4}.  For q in (1/2, 1) the first term
+    tends to -1/T(q) > 0 while the integral vanishes, so k0 exists (the
+    search gives up at k = 10^4); C(q) = max_{j<k0} (M_j/j!)^{1/j} then
+    bounds by C^k k! every moment of ``moment_table(q, max(k0 - 1, kmax))``,
+    the table it builds and checks.
 
     It certifies, for q in (1/2, 1), that the recursion's limiting moments
     grow no faster than C^k k!: below k0 the constant covers them, from k0
@@ -131,29 +120,26 @@ def factorial_bound_constant(q: float, table: MomentTable) -> FactorialBound:
     ``test_factorial_bound_certificate_holds``.
     """
     _check_q_below_one(q)
-    tq = analytics.T_of_q(q)
+    _check_count("kmax", kmax)
     k0 = None
     for k in range(2, 10_001):
-        factor = k / (analytics.T_of_q(k * q) - k * tq) * pair_integral(q, 1, k - 1)
+        factor = k / analytics.moment_exponent(q, k) * pair_integral(q, 1, k - 1)
         if factor < 1.0:
             k0 = k
             break
     if k0 is None:
         raise ContractViolation("no k0 up to 10^4")
 
-    # Moments below k0 set the constant; extend the table if it is short.
-    need = max(k0 - 1, table.valid_upto)
-    tab = table if table.valid_upto >= need else moment_table(q, need)
-    c = max(
-        (tab.M[j - 1] / math.factorial(j)) ** (1.0 / j) for j in range(1, k0)
-    )
-    for k in range(1, tab.valid_upto + 1):
-        if tab.M[k - 1] > c**k * math.factorial(k) * (1.0 + 1e-12):
+    # Moments below k0 set the constant (q < 1 never truncates the table).
+    M = moment_table(q, max(k0 - 1, kmax)).M
+    c = max((M[j - 1] / math.factorial(j)) ** (1.0 / j) for j in range(1, k0))
+    for k, m_k in enumerate(M, start=1):
+        if m_k > c**k * math.factorial(k) * (1.0 + 1e-12):
             raise ContractViolation(
-                f"factorial bound violated at k={k}: M_k={tab.M[k - 1]:.6g} "
+                f"factorial bound violated at k={k}: M_k={m_k:.6g} "
                 f"> C^k k! with C={c:.6g}"
             )
-    return FactorialBound(q=q, C=c, k0=k0, checked_upto=tab.valid_upto)
+    return FactorialBound(q=q, C=c, k0=k0, checked_upto=len(M))
 
 
 def _angle_moments(q: float, b: float, n_max: int, kmax: int):

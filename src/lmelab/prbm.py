@@ -44,6 +44,8 @@ __all__ = [
 
 def _check_sizes(N_list) -> None:
     # the fit needs three points; a repeated size adds none
+    if not all(hasattr(n, "__index__") for n in N_list):
+        raise ValueError(f"N_list must hold integers, got {tuple(N_list)}")
     if any(n < 64 for n in N_list) or len(set(N_list)) < 3:
         raise ValueError(f"N_list needs three distinct sizes >= 64, got {tuple(N_list)}")
 

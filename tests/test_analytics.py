@@ -1,12 +1,14 @@
 """Exponent and critical-point checks against independent oracles.
 
 Oracles used here: adaptive quadrature of the defining integral for T,
-central finite differences for T', and direct sign-change scans for every
-root-finding routine.
+the Gamma form in mpmath for the moment exponent, central finite
+differences for T', and direct sign-change scans for every root-finding
+routine.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,36 @@ class TestQk:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             an.find_qk(1)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            an.find_qk(2.5)
+
+
+class TestMomentExponent:
+    @staticmethod
+    def T_mp(q):
+        """T(q) = (sqrt(pi)/2) Gamma(q - 1/2) / Gamma(q - 1) in mpmath."""
+        return mp.sqrt(mp.pi) / 2 * mp.gamma(q - mp.mpf(1) / 2) / mp.gamma(q - 1)
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [(0.55, 2.0), (0.75, 3.0), (0.9, 1.5), (1.3, 2.5), (1.5, 0.5), (2.0, 4.0), (6.0, 0.3)],
+    )
+    def test_matches_gamma_form(self, q, p):
+        with mp.workdps(30):
+            qm, pm = mp.mpf(q), mp.mpf(p)
+            exact = self.T_mp(pm * qm) - pm * self.T_mp(qm)
+        assert abs(an.moment_exponent(q, p) / float(exact) - 1) <= 1e-13
+
+    @pytest.mark.parametrize("q", [0.6, 0.9, 1.5, 3.0])
+    def test_zero_at_one(self, q):
+        assert an.moment_exponent(q, 1.0) == 0.0
+
+    @pytest.mark.parametrize("q", [0.6, 0.9, 1.5, 3.0])
+    def test_p_slope_at_one_is_H(self, q):
+        # H reaches T' through digamma, a path moment_exponent never takes
+        h = 1e-5
+        slope = (an.moment_exponent(q, 1 + h) - an.moment_exponent(q, 1 - h)) / (2 * h)
+        assert slope == pytest.approx(an.H_of_q(q), rel=1e-7)
 
 
 class TestD:

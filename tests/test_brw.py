@@ -148,6 +148,18 @@ class TestTreeOracle:
         with pytest.raises(ValueError):
             brw.tree_samples(1.0, 21, 10, rng)
 
+    @pytest.mark.parametrize(
+        "beta, depth, n_trees, bad",
+        [(0.5, -1, 3, "^depth "), (0.5, 0, 3, "^depth "),
+         (math.nan, 3, 3, "^beta "), (0.5, 3, 0, "^n_trees ")],
+    )
+    def test_tree_inputs_are_checked(self, beta, depth, n_trees, bad):
+        # a negative depth used to draw no level and still rescale, and a
+        # NaN beta gave NaN trees
+        rng = derive_stream(1, (DOMAIN_TEST, 2))
+        with pytest.raises(ValueError, match=bad):
+            brw.tree_samples(beta, depth, n_trees, rng)
+
     def test_tree_derivative_mean_zero(self):
         rng = derive_stream(7, (DOMAIN_TEST, 3))
         out = brw.tree_samples(brw.BETA_C, 8, 8000, rng, derivative=True)

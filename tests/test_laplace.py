@@ -505,6 +505,20 @@ _ENTRY_POINTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda g: la.moments_from_phi(g, kmax=2.5), "^kmax "),
+        (lambda g: la.iterate_phi(0.75, 0.5, 1, 2.5, g), "^n_end "),
+        (lambda g: en.paley_zygmund_bounds(g.phi, np.inf), "^p "),
+    ],
+    ids=["moments_from_phi", "iterate_phi", "paley_zygmund_bounds"],
+)
+def test_counts_and_orders_name_the_argument(grid, call, bad):
+    with pytest.raises(ValueError, match=bad):
+        call(grid)
+
+
 @pytest.mark.parametrize("q", [0.5, 1.0])
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_q_outside_the_laplace_range_is_rejected(grid, entry, q):

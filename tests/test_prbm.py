@@ -197,3 +197,6 @@ class TestEstimateDq:
         # ensemble, when it is built
         with pytest.raises(ValueError, match="^N_list "):
             prbm.PrbmEnsemble(N_list=(64, 128), b=0.1, realizations=2)
+        # a fractional size would fail only inside build_matrix
+        with pytest.raises(ValueError, match="^N_list "):
+            prbm.PrbmEnsemble(N_list=(64.5, 96, 128), b=0.1, realizations=2)

@@ -153,7 +153,12 @@ def moment_exponent(q: float, p: float) -> float:
     :func:`h_exponent`, and its p-derivative at p = 1 is :func:`H_of_q`.  It
     is 0 at p = 1.  The limit moments' recursion divides by it at p = l, and
     -moment_exponent(q, k) = kT(q) - T(kq) are the stationary equation's
-    decay rates."""
+    decay rates.  It requires q > 1/2 and 1/(2q) < p < inf."""
+    _check_q(q)
+    # pq > 1/2 is what T_of_q(pq) needs; 0.5 / q < p would let p = 2/3
+    # through at q = 0.75, where pq rounds to 0.5
+    if not (p * q > 0.5 and p < math.inf):
+        raise ValueError(f"p must lie in (1/(2q), inf) = ({0.5 / q}, inf), got {p}")
     return T_of_q(p * q) - p * T_of_q(q)
 
 

@@ -18,7 +18,8 @@ uniquely among transforms of mean-one laws.  Two routes to it live here:
   recursions of :mod:`lmelab.moments`.
 * :func:`refine_stationary` solves the stationary equation directly
   (Newton-Krylov on the grid residual), which removes the finite-scale bias
-  floor.  Its solution does not depend on the initial guess, so
+  floor.  Its solution does not depend on the initial guess (from the
+  exponential and the delta starts it agrees within about 5e-12), so
   :func:`converge_grid` starts it from one recursion step and lets
   ``n_schedule`` size only the recursion-only route (``refine=False``).
   The one Newton solve is preconditioned by a banded approximation of the
@@ -36,8 +37,10 @@ closed form.
 
 Grid representation: values on a logarithmic t-grid, C^2 cubic spline in
 ln t between nodes, truncated alternating moment series below t_min, and a
-clamp above t_max.  Monotonicity is enforced by isotonic projection after
-every step; the projection distance is a contract (<= 1e-9), not a crutch.
+clamp above t_max.  Monotonicity is enforced by isotonic projection
+(:func:`_isotonic`) after every recursion step and after the stationary
+solve; on both routes the projection distance is a contract (<= 1e-9) that
+raises ContractViolation, not a crutch.
 The fixed-rule paths (:func:`iterate_phi`, the stationary residual and the
 preconditioner) evaluate the grid only at node-times-multiplier points
 t_i m, which on a grid uniform in ln t lie a fixed number of spline
@@ -93,7 +96,7 @@ _THETA_SWITCH = 1e-3  # below this angle the kernel integrand is expanded
 # collar fit and the moment estimates).
 _SERIES_FIT_T_MAX = 0.8
 # Stationary-solve window: nodes beyond it carry no weight in the kernel
-# below t = _SOLVE_T_MAX/2 and are rebuilt as a log-linear continuation.
+# below t = _SOLVE_T_MAX/2; they start and stay at _isotonic's floor 1e-300.
 _SOLVE_T_MAX = 120.0
 # Half-bandwidth, in grid nodes, of the stationary solve's preconditioner.
 _BAND = 3
@@ -367,9 +370,15 @@ def grid_eval(grid: GridFunction, args) -> np.ndarray:
     return _evaluator(grid)(a)
 
 
-def _isotonic(phi: np.ndarray) -> tuple[np.ndarray, float]:
+def _isotonic(phi: np.ndarray, where: str) -> np.ndarray:
+    """The non-increasing projection of phi clipped to [1e-300, 1]: the
+    monotonicity contract of both routes.  A projection that moves phi by
+    more than 1e-9 raises ContractViolation naming ``where``."""
     proj = np.minimum.accumulate(np.clip(phi, 1e-300, 1.0))
-    return proj, float(np.max(np.abs(proj - phi)))
+    dist = float(np.max(np.abs(proj - phi)))
+    if dist > 1e-9:
+        raise ContractViolation(f"isotonic projection moved the grid by {dist:.2e} {where}")
+    return proj
 
 
 def iterate_phi(
@@ -419,13 +428,7 @@ def iterate_phi(
         new = ev(a_reads)
         new *= ev(b_reads)
         new = new @ w
-        phi, dist = _isotonic(new)
-        # the projection distance is a contract, not a crutch
-        if dist > 1e-9:
-            raise ContractViolation(
-                f"isotonic projection moved the grid by {dist:.2e} at n={n}: "
-                "interpolation breakdown"
-            )
+        phi = _isotonic(new, f"at n={n}")
         # mix[j, l] = E[A^j B^l] under the rule
         mix = np.einsum(
             "i,ij,il->jl", w, np.power.outer(a_arg, powers), np.power.outer(b_arg, powers)
@@ -534,9 +537,9 @@ class _StationarySolve:
     ``fidx`` of :func:`refine_stationary`, and the design of the collar's
     pinned series fit.  ``lg`` and the reads hold the table and the
     products that every evaluation writes over.  ``start`` is the start
-    grid with its collar set (:func:`_set_collar`); the nodes beyond the
-    solve window keep its values.  A grid that is not uniform in ln t
-    raises ValueError.
+    grid with its collar set (:func:`_set_collar`) and its nodes beyond
+    the solve window at the floor 1e-300, where they stay.  A grid that is
+    not uniform in ln t raises ValueError.
     """
 
     def __init__(self, q: float, grid: GridFunction):
@@ -547,7 +550,7 @@ class _StationarySolve:
         self.collar = t <= _COLLAR_T_MAX
         self.fidx = np.where(~self.collar & (t <= _SOLVE_T_MAX))[0]
         self.collar_fit = _SeriesFit(t, (1.0, -1.0), _COLLAR_T_MAX)
-        self.start = _set_collar(self, grid.phi.copy())
+        self.start = _set_collar(self, np.where(t > _SOLVE_T_MAX, 1e-300, grid.phi))
 
     def rebuilt(self, u: np.ndarray) -> GridFunction:
         """The start grid with free values u and its collar set."""
@@ -672,7 +675,8 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     head from the free values (:func:`_set_collar`, one fit over
     4e-3 < t <= 0.8) before each residual evaluation, so the solution is
     self-consistent.  Nodes beyond t = 120 carry no weight in the kernel
-    below t = 60 and are rebuilt as a log-linear decay continuation.
+    below t = 60; the derivative stencil at the last free nodes reads two
+    of them, so they start and stay at :func:`_isotonic`'s floor 1e-300.
 
     The solve is preconditioned by :func:`_banded_preconditioner`, built
     and LU-factored once from the starting grid: the derivative stencil
@@ -690,14 +694,13 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     """
     _check_q_below_one(q)
     solve = _StationarySolve(q, grid)
-    t, fidx = grid.t, solve.fidx
     try:
         with warnings.catch_warnings():
             # scipy's termination bookkeeping divides by an unset x_rtol
             warnings.simplefilter("ignore", RuntimeWarning)
             sol = newton_krylov(
                 solve.objective,
-                solve.start.phi[fidx],
+                solve.start.phi[solve.fidx],
                 f_tol=1e-11,
                 maxiter=80,
                 inner_M=_banded_preconditioner(solve),
@@ -706,20 +709,8 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     except NoConvergence as exc:
         raise ContractViolation(f"stationary solve failed: {exc}") from exc
     solved = solve.rebuilt(sol)
-    phi, series = solved.phi, solved.series
-
-    # log-linear tail continuation beyond the solve window
-    tail = t > _SOLVE_T_MAX
-    if tail.any():
-        i0 = fidx[-1]
-        slope = math.log(max(phi[i0], 1e-300) / max(phi[i0 - 4], 1e-300)) / (
-            math.log(t[i0] / t[i0 - 4])
-        )
-        slope = min(slope, -1e-3)
-        phi[tail] = phi[i0] * np.exp(slope * np.log(t[tail] / t[i0]))
-
-    phi, _ = _isotonic(phi)
-    out = GridFunction(t=t, phi=phi, series=series)
+    phi = _isotonic(solved.phi, "after the stationary solve")
+    out = GridFunction(t=solved.t, phi=phi, series=solved.series)
     out.check_invariants()
     return out
 
@@ -817,7 +808,8 @@ def converge_grid(
     if not refine:
         return iterate_phi(q, b, 1, n_schedule, grid)
     # One step, not none: without it the solve takes up to 12 more residual
-    # evaluations (42 against 30, q = 0.95 exponential), and the step is the
-    # route's only theta.folded_rule call, which the benchmark tests require.
+    # evaluations at b = 0.5 (42 against 30, q = 0.95 exponential), and the
+    # step is the route's only theta.folded_rule call, which the benchmark
+    # tests require.
     grid = iterate_phi(q, b, 1, 2, grid)
     return refine_stationary(q, grid)

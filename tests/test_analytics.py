@@ -190,6 +190,13 @@ class TestMomentExponent:
         slope = (an.moment_exponent(q, 1 + h) - an.moment_exponent(q, 1 - h)) / (2 * h)
         assert slope == pytest.approx(an.H_of_q(q), rel=1e-7)
 
+    @pytest.mark.parametrize("p", [0.5, 0.6666666666666667, math.inf, math.nan])
+    def test_p_outside_the_range_names_p(self, p):
+        # each would otherwise fail inside T_of_q(p q), whose message names q;
+        # 2/3 rounded up exceeds 1/(2q), but its product with q rounds to 1/2
+        with pytest.raises(ValueError, match="^p "):
+            an.moment_exponent(0.75, p)
+
 
 class TestD:
     def test_value_at_one(self):

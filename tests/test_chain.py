@@ -249,6 +249,13 @@ class TestRunFlow:
         with pytest.raises(ValueError):
             ch.RgParams(N=64, b=0.3, n_max=40)
 
+    def test_step_past_n_max_is_rejected(self):
+        params = ch.RgParams(N=64, b=0.3, n_max=1, seed=1)
+        rng = rng_for(12)
+        state = ch.step_scale(ch.init_chain(64, rng), params, rng)
+        with pytest.raises(ValueError, match="chain already at n_max"):
+            ch.step_scale(state, params, rng)
+
     @pytest.mark.parametrize("field", ["n_max", "replicas"])
     def test_empty_flow_is_rejected(self, field):
         # run_flow would average over no scale or no replica and return NaNs

@@ -58,6 +58,7 @@ REJECTIONS = [
     ("brw", "beta = inf\n", "beta"),
     ("simulate-lme", BASE + "track_powers = 2,nan\n", "track_powers"),
     ("rg-chain", "q_list = 0.75,nan\n", "q_list"),
+    ("laplace", "refine = maybe\n", "refine"),
 ]
 REJECTION_IDS = [
     "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
@@ -71,12 +72,26 @@ REJECTION_IDS = [
     "lme-repeated-track-power", "rg-chain-repeated-q", "lme-b-inf",
     "laplace-b-inf", "rg-chain-b-inf", "prbm-b-inf", "lme-q-inf",
     "prbm-q-inf", "brw-beta-inf", "lme-track-power-nan", "rg-chain-q-nan",
+    "laplace-refine-not-boolean",
 ]
 
 
 @pytest.mark.parametrize("subcommand, text, key", REJECTIONS, ids=REJECTION_IDS)
 def test_rejections_name_the_key(subcommand, text, key):
     with pytest.raises(ConfigError, match=f"'{key}'"):
+        harness.parse_config(text, subcommand)
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("simulate", "", "unknown subcommand 'simulate'"),
+        ("laplace", "q 0.75\n", "line 1: expected key=value"),
+    ],
+    ids=["unknown-subcommand", "line-without-equals"],
+)
+def test_document_rejections(subcommand, text, message):
+    with pytest.raises(ConfigError, match=message):
         harness.parse_config(text, subcommand)
 
 
@@ -120,10 +135,11 @@ ENTRY_POINTS = {
     ),
 }
 # An unknown, duplicate, mistyped or missing key, and brw's ``mode``, which
-# picks the run_* function, leave no value for an entry point to refuse.
+# picks the run_* function, leave no value for an entry point to refuse;
+# converge_grid does not check the type of ``refine``.
 PARSE_LEVEL = {
     "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
-    "brw-unread-p", "brw-unknown-mode",
+    "brw-unread-p", "brw-unknown-mode", "laplace-refine-not-boolean",
 }
 ENTRY_CASES = [
     pytest.param(*case, id=i)

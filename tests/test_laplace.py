@@ -212,6 +212,37 @@ def test_failed_solve_is_a_contract_violation(grid, monkeypatch):
         la.refine_stationary(0.75, grid)
 
 
+@pytest.mark.parametrize("init", ["delta", "exponential"])
+@pytest.mark.parametrize("q", [0.505, 0.75, 0.999])
+def test_both_routes_hold_the_projection_contract(q, init, monkeypatch):
+    # the spy measures each projection itself, whatever _isotonic returns.
+    # Start values above the floor past the solve window leave the solution
+    # a tail error (3.1e-4 from the exponential start at q = 0.75) that only
+    # a projection with no contract would hide
+    dists = []
+    project = la._isotonic
+
+    def measuring(phi, *args):
+        proj = np.minimum.accumulate(np.clip(phi, 1e-300, 1.0))
+        dists.append(float(np.max(np.abs(proj - phi))))
+        return project(phi, *args)
+
+    monkeypatch.setattr(la, "_isotonic", measuring)
+    la.converge_grid(q, 0.5, init=init)
+    assert len(dists) == 2  # the recursion step and the stationary solve
+    assert max(dists) <= 1e-9
+
+
+def test_isotonic_projection_is_a_contract():
+    phi = np.array([1.0, 0.5, 0.5, 0.25])
+    near = phi.copy()
+    near[2] += 5e-10
+    assert np.array_equal(la._isotonic(near, "at n=7"), phi)
+    near[2] += 6e-10
+    with pytest.raises(ContractViolation, match="moved the grid by 1.10e-09 at n=7"):
+        la._isotonic(near, "at n=7")
+
+
 def _small_angle_mp(p, e):
     """int_0^theta_s x^p g(x) dx with g(x) = (sin x / x)^e / cos^2 x, as
     theta_s^{p+1}/(p+1) int_0^1 g(theta_s s^{1/(p+1)}) ds: the substitution
@@ -511,8 +542,14 @@ _ENTRY_POINTS = {
         (lambda g: la.moments_from_phi(g, kmax=2.5), "^kmax "),
         (lambda g: la.iterate_phi(0.75, 0.5, 1, 2.5, g), "^n_end "),
         (lambda g: en.paley_zygmund_bounds(g.phi, np.inf), "^p "),
+        (lambda g: la.moments_from_phi(g, 5), r"^kmax must be in 1\.\.4, got 5"),
+        (lambda g: la.iterate_phi(0.75, 0.5, 5, 3, g), "^n_end must be >= n_start = 5, got 3"),
+        (lambda g: la.stationary_residual(0.75, g, 2e3), r"^t=2000\.0 outside grid"),
     ],
-    ids=["moments_from_phi", "iterate_phi", "paley_zygmund_bounds"],
+    ids=[
+        "moments_from_phi", "iterate_phi", "paley_zygmund_bounds", "moments_from_phi-kmax-5",
+        "iterate_phi-n_end-below-n_start", "stationary_residual-t-above-grid",
+    ],
 )
 def test_counts_and_orders_name_the_argument(grid, call, bad):
     with pytest.raises(ValueError, match=bad):

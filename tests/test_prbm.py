@@ -33,6 +33,10 @@ class TestBuildMatrix:
         h = prbm.build_matrix(128, 0.5, rng_for(0))
         assert np.array_equal(h, h.T)
 
+    def test_rejects_size_below_two(self):
+        with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+            prbm.build_matrix(1, 0.5, rng_for(0))
+
     @pytest.mark.parametrize("n", [64, 161, 512])
     @pytest.mark.parametrize("b", [0.1, 3.0])
     def test_is_the_docstring_formula(self, n, b):
@@ -101,6 +105,10 @@ class TestSymmetricEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             prbm.symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="input must be square"):
+            prbm.symmetric_eig(np.ones((2, 3)))
 
     def test_rejects_asymmetry_below_the_default_rtol(self):
         # off by 1e-6 relative: within np.allclose's default rtol of 1e-5,

@@ -91,6 +91,8 @@ class TestDensity:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             th.theta_density(th.ThetaLaw(0.1), 1.0)
+        with pytest.raises(ValueError, match=r"theta outside \[-pi/4, pi/4\]"):
+            th.theta_cdf(th.ThetaLaw(0.1), 1.0)
         for eps in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="^epsilon "):
                 th.ThetaLaw(eps)

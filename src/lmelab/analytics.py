@@ -30,7 +30,7 @@ from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import digamma, gammaln, gammasgn, rgamma
 
-from .errors import ContractViolation, _check_ge0, _check_q
+from .errors import ContractViolation, _check_ge0, _check_int, _check_q
 
 __all__ = [
     "T_of_q",
@@ -188,8 +188,7 @@ def p_star(q: float) -> float:
 
 def find_qk(k: int) -> float:
     """Threshold q_k: root in (1, q_c) of moment_exponent(q, k); decreasing in k."""
-    if not (hasattr(k, "__index__") and k >= 2):
-        raise ValueError(f"k must be an integer >= 2, got {k}")
+    _check_int("k", k, 2)
     return _bracketed_root(lambda q: moment_exponent(q, k), 1.0, find_qc())
 
 

@@ -49,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import _BLOCKS, _check_blocks, block_mean_se, map_chunks, mix_pairs, ols
-from .errors import _check_count, _check_ge0
+from .errors import _check_count, _check_ge0, _check_int
 from .streams import DOMAIN_BRW, _check_seed, derive_stream
 
 __all__ = [
@@ -82,8 +82,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_depth(depth: int) -> None:
-    if depth < 1 or depth > _MAX_DEPTH:
-        raise ValueError(f"depth must be in 1..{_MAX_DEPTH}, got {depth}")
+    _check_int("depth", depth, 1, _MAX_DEPTH)
 
 
 def _check_replicas(replicas: int) -> None:
@@ -315,6 +314,8 @@ def second_moment_recursion(beta: float, depth: int) -> list[float]:
     beta^2 < ln 2, i.e. beta < beta_c/sqrt(2), and grows geometrically
     otherwise.
     """
+    _check_ge0("beta", beta)
+    _check_depth(depth)
     vals = [1.0]
     g = math.exp(beta * beta) / 2.0
     for _ in range(depth):
@@ -338,10 +339,8 @@ def tree_samples(
     depth.
     """
     _check_ge0("beta", beta)
-    _check_depth(depth)
+    _check_int("depth", depth, 1, _TREE_DEPTH_CAP)
     _check_count("n_trees", n_trees)
-    if depth > _TREE_DEPTH_CAP:
-        raise ValueError(f"explicit trees capped at depth {_TREE_DEPTH_CAP}")
     x = np.zeros((n_trees, 1))
     for _ in range(depth):
         v1 = rng.standard_normal(x.shape)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import _checkpoints
-from .errors import ContractViolation, _check_count, _check_distinct, _check_gt0
+from .errors import ContractViolation, _check_count, _check_distinct, _check_gt0, _check_int
 from .streams import DOMAIN_CHAIN, _check_seed, derive_stream
 
 __all__ = [
@@ -78,10 +78,7 @@ _GRAM_BYTES = 1 << 23
 
 
 def _check_size(N: int) -> None:
-    if N < 16:
-        raise ValueError("N must be >= 16")
-    if N > MAX_N:
-        raise ValueError(f"N must be <= {MAX_N} (dense state of 8 N^2 bytes), got {N}")
+    _check_int("N", N, 16, MAX_N)
 
 
 def _check_a(a: float) -> None:
@@ -90,9 +87,7 @@ def _check_a(a: float) -> None:
 
 
 def _check_n_max(N: int, n_max: int) -> None:
-    _check_count("n_max", n_max)
-    if n_max > N // 2:
-        raise ValueError(f"n_max must not exceed N/2 = {N // 2}, got {n_max}")
+    _check_int("n_max", n_max, 1, N // 2)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theta
-from .errors import _check_count, _check_distinct, _check_gt0, _check_q
+from .errors import _check_count, _check_distinct, _check_gt0, _check_int, _check_q
 from .streams import DOMAIN_LME, _check_seed, derive_stream
 
 __all__ = [
@@ -88,8 +88,9 @@ _executor: ThreadPoolExecutor | None = None
 
 def _check_blocks(key: str, size: int, minimum: int) -> None:
     # every pool splits into _BLOCKS equal replica blocks
-    if not (hasattr(size, "__index__") and size >= minimum and size % _BLOCKS == 0):
-        raise ValueError(f"{key} must be a multiple of {_BLOCKS} and >= {minimum}, got {size}")
+    _check_int(key, size, minimum)
+    if size % _BLOCKS:
+        raise ValueError(f"{key} must be a multiple of {_BLOCKS}, got {size}")
 
 
 def _check_pool_size(pool_size: int) -> None:
@@ -181,8 +182,9 @@ def map_chunks(size: int, rngs, kernel) -> None:
     positions.
 
     ``rngs`` holds one generator per equal group of consecutive blocks of
-    the pool's ``_BLOCKS``: a single generator for the whole pool, or one
-    per block.  Any other count, or a ``size`` that is not a positive
+    the pool's ``_BLOCKS``, so its length may be any divisor of ``_BLOCKS``:
+    ``run`` passes 1 for the whole lme pool, and brw passes ``_BLOCKS``,
+    one per block.  Any other count, or a ``size`` that is not a positive
     multiple of ``_BLOCKS``, would leave slots unwritten and raises
     ``ValueError``.  A group is walked in chunks of at most ``_CHUNK``
     samples (at least one block); each chunk draws i, then j, with one call

@@ -1,6 +1,11 @@
 """Shared exception and warning types, and the argument checks that the
 entry points and the config schemas share: each raises ``ValueError`` with
 a message that starts with the argument's name, and rejects inf and NaN.
+
+The integer rule lives in :func:`_check_int` alone: a value is an integer
+if it has ``__index__`` (Python and numpy integers do, a float such as 3.0
+does not), and it must lie in [lo, hi].  Every size, depth, count, seed and
+stream label goes through it.
 """
 
 _INF = float("inf")
@@ -44,9 +49,14 @@ def _check_q_below_one(q) -> None:
         raise ValueError(f"q in (1/2, 1) is required, got {q}")
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    if not (hasattr(value, "__index__") and lo <= value and (hi is None or value <= hi)):
+        rule = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {rule}, got {value}")
+
+
 def _check_count(name: str, value) -> None:
-    if not (hasattr(value, "__index__") and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    _check_int(name, value, 1)
 
 
 def _check_distinct(name: str, values) -> None:

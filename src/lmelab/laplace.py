@@ -804,6 +804,8 @@ def converge_grid(
     recursion run from n = 1 to ``n_schedule``.
     """
     _check_count("n_schedule", n_schedule)
+    if not isinstance(refine, (bool, np.bool_)):
+        raise ValueError(f"refine must be a bool, got {refine!r}")
     grid = make_grid(init)
     if not refine:
         return iterate_phi(q, b, 1, n_schedule, grid)

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chain import _BLOCK_BYTES, _orthonormality_err
 from .engine import ols
-from .errors import ContractViolation, _check_count, _check_gt0
+from .errors import ContractViolation, _check_count, _check_gt0, _check_int
 from .streams import DOMAIN_PRBM, _check_seed, derive_stream
 
 __all__ = [
@@ -44,10 +44,10 @@ __all__ = [
 
 def _check_sizes(N_list) -> None:
     # the fit needs three points; a repeated size adds none
-    if not all(hasattr(n, "__index__") for n in N_list):
-        raise ValueError(f"N_list must hold integers, got {tuple(N_list)}")
-    if any(n < 64 for n in N_list) or len(set(N_list)) < 3:
-        raise ValueError(f"N_list needs three distinct sizes >= 64, got {tuple(N_list)}")
+    for n in N_list:
+        _check_int("N_list entry", n, 64)
+    if len(set(N_list)) < 3:
+        raise ValueError(f"N_list needs three distinct sizes, got {tuple(N_list)}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def build_matrix(N: int, b: float, rng: np.random.Generator) -> np.ndarray:
     one row and read as an (N, N) view, and the mirror is copied in row
     blocks: the returned array is the only N^2 buffer.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    _check_int("N", N, 2)
     _check_gt0("b", b)
     d = np.arange(N)
     d = np.minimum(d, N - d)

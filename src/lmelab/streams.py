@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import _check_int
+
 __all__ = [
     "DOMAIN_LME",
     "DOMAIN_BRW",
@@ -44,24 +46,18 @@ _W_DOMAIN, _W_MAJOR, _W_MINOR = 4, 36, 24
 def _pack(labels: Sequence[int]) -> int:
     if not 1 <= len(labels) <= 3:
         raise ValueError("labels must have 1 to 3 entries (domain, major, minor)")
-    domain = labels[0]
-    major = labels[1] if len(labels) > 1 else 0
-    minor = labels[2] if len(labels) > 2 else 0
-    for name, v, width in (
-        ("domain", domain, _W_DOMAIN),
-        ("major", major, _W_MAJOR),
-        ("minor", minor, _W_MINOR),
-    ):
-        if not 0 <= v < (1 << width):
-            raise ValueError(f"label {name}={v} outside [0, 2^{width})")
-    return (domain << (_W_MAJOR + _W_MINOR)) | (major << _W_MINOR) | minor
+    key = 0
+    fields = zip(("domain", "major", "minor"), (*labels, 0, 0), (_W_DOMAIN, _W_MAJOR, _W_MINOR))
+    for name, v, width in fields:
+        _check_int(f"labels {name}", v, 0, (1 << width) - 1)
+        key = (key << width) | int(v)
+    return key
 
 
 def _check_seed(seed: int) -> None:
     # the seed fills one 64-bit key word; wrapping it would alias -1 to
     # 2^64 - 1, and truncating it would alias 1.5 to 1
-    if not (hasattr(seed, "__index__") and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+    _check_int("seed", seed, 0, 2**64 - 1)
 
 
 def derive_stream(seed: int, labels: Iterable[int]) -> np.random.Generator:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureWarning, _check_gt0
+from .errors import QuadratureWarning, _check_count, _check_gt0
 
 __all__ = [
     "ThetaLaw",
@@ -188,12 +188,18 @@ def gauss_panels(
 ):
     """Composite Gauss-Legendre rule on [edges[0], pi/4].
 
-    The panels are the given ascending edges, then a geometric bridge from
-    the last of them up to pi/4 (panel ratio <= 16 keeps Gauss-Legendre
-    accurate on a ~1/theta^2 integrand).  Returns (nodes, weights); with a
-    ``density`` callable the weights carry density(nodes) folded in.
+    The panels are the given edges, strictly ascending within [0, pi/4),
+    then a geometric bridge from the last of them up to pi/4 (panel ratio
+    <= 16 keeps Gauss-Legendre accurate on a ~1/theta^2 integrand).
+    Returns (nodes, weights); with a ``density`` callable the weights carry
+    density(nodes) folded in.
     """
+    _check_count("nodes_per_panel", nodes_per_panel)
     edges = list(edges)
+    # a descending pair would make a panel of negative width
+    bounds = [*edges, _QUARTER_PI]
+    if not (edges and edges[0] >= 0.0 and all(a < b for a, b in zip(bounds, bounds[1:]))):
+        raise ValueError(f"edges must ascend within [0, pi/4), got {edges}")
     last = edges[-1]
     while last > 0.0 and _QUARTER_PI / last > 16.0:
         last *= 16.0

@@ -160,6 +160,17 @@ class TestTreeOracle:
         with pytest.raises(ValueError, match=bad):
             brw.tree_samples(beta, depth, n_trees, rng)
 
+    @pytest.mark.parametrize(
+        "beta, depth, bad",
+        [(math.nan, 3, "^beta "), (0.5, -2, "^depth "), (0.5, 2.5, "^depth "),
+         (0.5, 41, "^depth ")],
+    )
+    def test_second_moment_inputs_are_checked(self, beta, depth, bad):
+        # the pool's oracle takes what the pool takes: unchecked, a NaN beta
+        # gives a NaN trajectory and a negative depth a one-point one
+        with pytest.raises(ValueError, match=bad):
+            brw.second_moment_recursion(beta, depth)
+
     def test_tree_derivative_mean_zero(self):
         rng = derive_stream(7, (DOMAIN_TEST, 3))
         out = brw.tree_samples(brw.BETA_C, 8, 8000, rng, derivative=True)

@@ -37,9 +37,9 @@ class TestInit:
         monkeypatch.setattr(ch.np, "eye", lambda n: sizes.append(n))
         assert ch.RgParams(N=8192, b=0.3, n_max=8).N == 8192
         assert ch.init_chain(8192, rng_for(12)).N == 8192
-        with pytest.raises(ValueError, match="N must be <= 8192"):
+        with pytest.raises(ValueError, match=r"N must be an integer in \[16, 8192\], got 8193"):
             ch.RgParams(N=8193, b=0.3, n_max=8)
-        with pytest.raises(ValueError, match="N must be <= 8192"):
+        with pytest.raises(ValueError, match=r"N must be an integer in \[16, 8192\], got 8193"):
             ch.init_chain(8193, rng_for(13))
         assert sizes == [8192]
 

@@ -135,8 +135,9 @@ ENTRY_POINTS = {
     ),
 }
 # An unknown, duplicate, mistyped or missing key, and brw's ``mode``, which
-# picks the run_* function, leave no value for an entry point to refuse;
-# converge_grid does not check the type of ``refine``.
+# picks the run_* function, leave no value for an entry point to refuse; a
+# ``refine`` that is not boolean text fails ``_bool`` while parsing, before
+# any value reaches converge_grid.
 PARSE_LEVEL = {
     "unknown", "duplicate", "mistyped", "missing", "unread-checkpoints",
     "brw-unread-p", "brw-unknown-mode", "laplace-refine-not-boolean",

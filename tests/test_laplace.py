@@ -545,15 +545,25 @@ _ENTRY_POINTS = {
         (lambda g: la.moments_from_phi(g, 5), r"^kmax must be in 1\.\.4, got 5"),
         (lambda g: la.iterate_phi(0.75, 0.5, 5, 3, g), "^n_end must be >= n_start = 5, got 3"),
         (lambda g: la.stationary_residual(0.75, g, 2e3), r"^t=2000\.0 outside grid"),
+        # the text "false" is truthy: unchecked, it takes the stationary route
+        (lambda g: la.converge_grid(0.75, 0.5, refine="false", n_schedule=3), "^refine "),
+        (lambda g: la.converge_grid(0.75, 0.5, refine=None, n_schedule=3), "^refine "),
     ],
     ids=[
         "moments_from_phi", "iterate_phi", "paley_zygmund_bounds", "moments_from_phi-kmax-5",
         "iterate_phi-n_end-below-n_start", "stationary_residual-t-above-grid",
+        "converge_grid-refine-text", "converge_grid-refine-none",
     ],
 )
 def test_counts_and_orders_name_the_argument(grid, call, bad):
     with pytest.raises(ValueError, match=bad):
         call(grid)
+
+
+def test_refine_takes_a_numpy_bool():
+    a = la.converge_grid(0.75, 0.5, refine=np.False_, n_schedule=3)
+    b = la.converge_grid(0.75, 0.5, refine=False, n_schedule=3)
+    assert np.array_equal(a.phi, b.phi)
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0])

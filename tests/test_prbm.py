@@ -34,7 +34,7 @@ class TestBuildMatrix:
         assert np.array_equal(h, h.T)
 
     def test_rejects_size_below_two(self):
-        with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+        with pytest.raises(ValueError, match="N must be an integer >= 2, got 1"):
             prbm.build_matrix(1, 0.5, rng_for(0))
 
     @pytest.mark.parametrize("n", [64, 161, 512])

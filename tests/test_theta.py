@@ -297,3 +297,25 @@ class TestFoldedRule:
                 worst[nodes_per_panel] = max(worst[nodes_per_panel], abs(tn / exact - 1.0))
         assert worst[24] <= bound_24
         assert worst[48] <= bound_48
+
+
+class TestGaussPanels:
+    @pytest.mark.parametrize("edges", [[0.0], [0.0, 1e-3], [0.1, 0.3, 0.7]])
+    def test_weights_sum_to_the_interval(self, edges):
+        _, w = th.gauss_panels(edges, 4)
+        assert np.sum(w) == pytest.approx(math.pi / 4 - edges[0], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[], [1.0], [0.3, 0.1], [0.1, 0.1], [-0.1, 0.2], [0.0, math.nan], [math.pi / 4]],
+        ids=["empty", "past-pi/4", "descending", "repeated", "negative", "nan", "at-pi/4"],
+    )
+    def test_edges_must_ascend_within_the_quarter(self, edges):
+        # unchecked, [1.0] integrates from 1 down to pi/4: weights sum to -0.2146
+        with pytest.raises(ValueError, match="^edges "):
+            th.gauss_panels(edges, 4)
+
+    @pytest.mark.parametrize("nodes_per_panel", [0, 2.5, 4.0])
+    def test_folded_rule_names_its_node_count(self, nodes_per_panel):
+        with pytest.raises(ValueError, match="^nodes_per_panel "):
+            th.folded_rule(th.ThetaLaw(0.1), nodes_per_panel)

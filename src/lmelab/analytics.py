@@ -171,7 +171,7 @@ def p_star(q: float) -> float:
     """
     qc = find_qc()
     if not (0.5 < q < qc):
-        raise ValueError(f"p_star requires q in (1/2, q_c={qc:.6f}), got {q}")
+        raise ValueError(f"q must lie in (1/2, q_c={qc:.6f}) for p_star, got {q}")
     if q <= 1.0:
         return math.inf
 
@@ -200,7 +200,7 @@ def h_exponent(q: float) -> float:
     """
     qc = find_qc()
     if not q > qc:
-        raise ValueError(f"h_exponent requires q > q_c = {qc:.6f}, got {q}")
+        raise ValueError(f"q must exceed q_c = {qc:.6f} for h_exponent, got {q}")
     # moment_exponent(q, h) is strictly concave in h on (1/(2q), 1)
     res = minimize_scalar(
         lambda h: -moment_exponent(q, h),

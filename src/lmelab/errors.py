@@ -4,6 +4,7 @@ a message that starts with the argument's name, and rejects inf and NaN.
 
 The integer rule lives in :func:`_check_int` alone: a value is an integer
 if it has ``__index__`` (Python and numpy integers do, a float such as 3.0
+does not) and is not a bool (Python's ``bool`` has ``__index__``, numpy's
 does not), and it must lie in [lo, hi].  Every size, depth, count, seed and
 stream label goes through it.
 """
@@ -50,7 +51,8 @@ def _check_q_below_one(q) -> None:
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
-    if not (hasattr(value, "__index__") and lo <= value and (hi is None or value <= hi)):
+    integer = hasattr(value, "__index__") and not isinstance(value, bool)
+    if not (integer and lo <= value and (hi is None or value <= hi)):
         rule = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {rule}, got {value}")
 

@@ -77,7 +77,8 @@ from scipy.sparse.linalg import LinearOperator
 
 from . import analytics, theta
 from .errors import (
-    ContractViolation, QuadratureWarning, _check_count, _check_gt0, _check_q_below_one,
+    ContractViolation, QuadratureWarning, _check_count, _check_gt0, _check_int,
+    _check_q_below_one,
 )
 
 __all__ = [
@@ -366,7 +367,7 @@ def grid_eval(grid: GridFunction, args) -> np.ndarray:
     """Evaluate the grid function at positive arguments."""
     a = np.atleast_1d(np.asarray(args, dtype=float))
     if not np.all(a > 0.0):
-        raise ValueError("arguments must be positive")
+        raise ValueError(f"args must be positive, got a minimum of {a.min()}")
     return _evaluator(grid)(a)
 
 
@@ -390,26 +391,21 @@ def iterate_phi(
 ) -> GridFunction:
     """Apply the scale recursion for n = n_start .. n_end - 1.
 
-    The expectation over the angle at eps = b/n uses a fixed folded
-    Gauss-Legendre rule, normalized by the same rule's T_n, which keeps the
-    rule's mean exactly one.  The grid mean still drifts upward: from the
-    delta start at b = 0.5, ``moments_from_phi(...)[0] - 1`` is 1.1e-6 at
-    q = 0.6 after 250 steps, 1.5e-5 after 1000 and 6.4e-5 after 4000.  The
-    spline evaluation of the grid body is not the cause: 800 nodes instead
-    of 400 read 1.4e-6 and 1.5e-5 after 250 and 1000 steps, and t_max 1e5
-    leaves the 5.5e-6 after 500 steps as it is, while a 48-node rule in
-    place of the 24-node one reads -2.7e-7 there.  The series head starts from
-    ``grid.series`` and takes each step with the same rule: with
-    A = sin^{2q}th/T_n and B = cos^{2q}th/T_n,
+    The expectation over the angle at eps = b/n uses theta's folded
+    Gauss-Legendre rule, the one that fills the moment table, normalized by
+    the same rule's T_n.  Its node count sets how well the grid mean stays
+    at one: from the delta start at b = 0.5, ``moments_from_phi(...)[0] - 1``
+    reads -1.7e-7 at q = 0.6 after 1000 steps, where 24 nodes drifted
+    upward to 1.5e-5.  The series head starts from ``grid.series`` and
+    takes each step with the same rule: with A = sin^{2q}th/T_n and
+    B = cos^{2q}th/T_n,
     c_k' = sum_j c_j c_{k-j} E[A^j B^{k-j}] for k = 2..4, while c0 = 1 and
     c1 = -1 stay pinned.
     """
     _check_q_below_one(q)
     _check_gt0("b", b)
     _check_count("n_start", n_start)
-    _check_count("n_end", n_end)
-    if n_end < n_start:
-        raise ValueError(f"n_end must be >= n_start = {n_start}, got {n_end}")
+    _check_int("n_end", n_end, n_start)
     t = grid.t
     phi = grid.phi.copy()
     series = grid.series
@@ -417,7 +413,7 @@ def iterate_phi(
     lg = _LogGrid(t)
     a_reads = b_reads = None
     for n in range(n_start, n_end):
-        nodes, w = theta.folded_rule(theta.ThetaLaw(b / n), 24)
+        nodes, w = theta.folded_rule(theta.ThetaLaw(b / n))
         s2 = np.sin(nodes) ** 2
         a_pow = s2**q
         b_pow = (1.0 - s2) ** q
@@ -695,17 +691,14 @@ def refine_stationary(q: float, grid: GridFunction) -> GridFunction:
     _check_q_below_one(q)
     solve = _StationarySolve(q, grid)
     try:
-        with warnings.catch_warnings():
-            # scipy's termination bookkeeping divides by an unset x_rtol
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sol = newton_krylov(
-                solve.objective,
-                solve.start.phi[solve.fidx],
-                f_tol=1e-11,
-                maxiter=80,
-                inner_M=_banded_preconditioner(solve),
-                inner_rtol=_INNER_RTOL,
-            )
+        sol = newton_krylov(
+            solve.objective,
+            solve.start.phi[solve.fidx],
+            f_tol=1e-11,
+            maxiter=80,
+            inner_M=_banded_preconditioner(solve),
+            inner_rtol=_INNER_RTOL,
+        )
     except NoConvergence as exc:
         raise ContractViolation(f"stationary solve failed: {exc}") from exc
     solved = solve.rebuilt(sol)
@@ -724,7 +717,9 @@ def stationary_residual(q: float, grid: GridFunction, t_point: float) -> float:
     """
     _check_q_below_one(q)
     if not grid.t_min <= t_point <= grid.t_max:
-        raise ValueError(f"t={t_point} outside grid [{grid.t_min}, {grid.t_max}]")
+        raise ValueError(
+            f"t_point must lie in the grid [{grid.t_min}, {grid.t_max}], got {t_point}"
+        )
     ker = _kernel(q)
     ev = _evaluator(grid)
     h = math.log(grid.t[1] / grid.t[0])
@@ -770,9 +765,7 @@ def moments_from_phi(grid: GridFunction, kmax: int = 4) -> tuple[float, ...]:
     terms absorbing series truncation); the estimated mean M_1 is a real
     diagnostic of mean preservation, not pinned.
     """
-    _check_count("kmax", kmax)
-    if kmax > 4:
-        raise ValueError(f"kmax must be in 1..4, got {kmax}")
+    _check_int("kmax", kmax, 1, 4)
     c, resid = _SeriesFit(grid.t, (1.0,), 0.0)(grid.phi)
     if resid > 1e-6:
         warnings.warn(

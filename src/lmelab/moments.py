@@ -145,22 +145,24 @@ def factorial_bound_constant(q: float, kmax: int) -> FactorialBound:
 def _angle_moments(q: float, b: float, n_max: int, kmax: int):
     """Per-step angle moments at eps_n = b/n for n = 1..n_max-1.
 
-    Tabulates, with the 48-node folded rule on a log grid of scales, the
+    Tabulates, with theta's folded rule on a log grid of scales, the
     symmetric pair moments P_eps(j, m) = E[S^{qj} C^{qm} + S^{qm} C^{qj}]
     (S = sin^2, C = cos^2) for 0 <= j <= m, 1 <= j + m <= kmax, in column
     col[(j, m)]; P_eps(0, m) is T_eps(mq).  It then evaluates one cubic
     spline in ln(eps) through all columns over the whole schedule, so the
     exact moment recursion can run for 10^5 steps without one quadrature
     per step.  All columns are smooth in ln(eps) (power series in
-    eps^{2q-1}, eps, ...).  Returns (rows, col) with rows[n-1] at eps_n.
+    eps^{2q-1}, eps, ...).  The grid reaches 10% past both ends of the
+    schedule (ending 1% below b/n_max left rows near n_max 5e-8 relative
+    off the rule).  Returns (rows, col) with rows[n-1] at eps_n.
     """
     pairs = [(j, k - j) for k in range(1, kmax + 1) for j in range(k // 2 + 1)]
-    lo, hi = math.log(b / n_max * 0.99), math.log(b * 1.01)
+    lo, hi = math.log(b / n_max * 0.9), math.log(b * 1.1)
     n_nodes = max(16, int(64 * (hi - lo) / math.log(10.0)))
     grid = np.linspace(lo, hi, n_nodes)
     table = []
     for u in grid:
-        nodes, w = theta.folded_rule(theta.ThetaLaw(math.exp(u)), nodes_per_panel=48)
+        nodes, w = theta.folded_rule(theta.ThetaLaw(math.exp(u)))
         s2 = np.sin(nodes) ** 2
         c2 = 1.0 - s2
         sp = [s2 ** (q * j) for j in range(kmax + 1)]

@@ -132,9 +132,10 @@ class TestPStar:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        message = r"^q must lie in \(1/2, q_c=.*\) for p_star, got 0\.4$"
+        with pytest.raises(ValueError, match=message):
             an.p_star(0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^q "):
             an.p_star(3.0)
 
 
@@ -236,7 +237,7 @@ class TestHExponent:
         assert 0.1 < an.h_exponent(5.0) < 0.99
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q must exceed q_c = .* for h_exponent, got 2\.0$"):
             an.h_exponent(2.0)
 
 

@@ -1,5 +1,5 @@
 """The one integer rule of ``errors``: every size, depth, count, seed and
-stream label is an integer by ``__index__`` within its range."""
+stream label is an integer by ``__index__``, not a bool, within its range."""
 
 import numpy as np
 import pytest
@@ -43,6 +43,30 @@ def test_entry_points_refuse_floats_by_name(make, good, bad, name):
         make(bad)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda d: brw.BrwParams(beta=0.5, depth=d, replicas=3200), "depth"),
+        (lambda d: brw.tree_samples(0.5, d, 4, rng()), "depth"),
+        (lambda label: derive_stream(0, (1, label)), "labels"),
+        (lambda d: brw.second_moment_recursion(0.5, d), "depth"),
+        (
+            lambda s: engine.LmeParams(q=0.75, b=0.5, n_max=4, pool_size=3200, seed=s),
+            "seed",
+        ),
+    ],
+    ids=[
+        "BrwParams-depth", "tree_samples-depth", "derive_stream-label",
+        "second_moment_recursion-depth", "LmeParams-seed",
+    ],
+)
+def test_entry_points_refuse_bools_by_name(make, name):
+    # bool has __index__: unchecked, second_moment_recursion(0.5, True)
+    # runs one step
+    with pytest.raises(ValueError, match=f"^{name} .*, got True$"):
+        make(True)
+
+
 @pytest.mark.parametrize("value", [2, 5, np.int64(3), np.uint8(5)])
 def test_integers_within_the_bounds_pass(value):
     _check_int("x", value, 2, 5)
@@ -62,3 +86,10 @@ def test_integers_within_the_bounds_pass(value):
 def test_the_rule_names_the_argument_and_its_range(value, hi, message):
     with pytest.raises(ValueError, match=message):
         _check_int("x", value, 2, hi)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_bools_are_not_integers(value):
+    # in range, as bool's __index__ reads them (0 and 1)
+    with pytest.raises(ValueError, match=rf"^x must be an integer in \[0, 5\], got {value}$"):
+        _check_int("x", value, 0, 5)

@@ -150,12 +150,24 @@ def test_unrefined_route_runs_the_whole_schedule():
 
 
 def test_unrefined_mean_drift_stays_small():
-    # the grid mean drifts upward; it reads 1.1e-6 after 250 steps at
-    # q = 0.6, the fastest drift of q = 0.6, 0.75 and 0.9.  The spline
-    # evaluation of the grid body is not the cause: 800 nodes read 1.4e-6
-    # here, while a 48-node rule moves the 500-step 5.5e-6 to -2.7e-7
+    # the grid mean reads -3.4e-7 after 250 steps at q = 0.6; with a
+    # 24-node rule it drifted upward, 1.1e-6 here
     grid = la.iterate_phi(0.6, 0.5, 1, 251, la.make_grid())
     assert abs(la.moments_from_phi(grid)[0] - 1.0) <= 5e-6
+
+
+@pytest.mark.parametrize(
+    "nodes, n_end, bound", [(400, 1001, 1e-6), (514, 501, 2e-6)], ids=["1000-steps", "t_min-1e-6"]
+)
+def test_mean_holds_at_one(nodes, n_end, bound):
+    # q = 0.6 from the delta start, on make_grid's log spacing down from
+    # t = 1e3: -1.7e-7 after 1000 steps on its 400 nodes, and -6.0e-7 after
+    # 500 on 514 nodes, which reach t = 1e-6; a 24-node rule read 1.46e-5
+    # and 2.31e-4
+    t = 10.0 ** ((np.arange(nodes) - (nodes - 1.0)) * (7.0 / 399.0) + 3.0)
+    start = la.GridFunction(t=t, phi=np.exp(-t), series=la.make_grid().series)
+    grid = la.iterate_phi(0.6, 0.5, 1, n_end, start)
+    assert abs(la.moments_from_phi(grid)[0] - 1.0) <= bound
 
 
 def test_zero_steps_keep_the_grid_head():
@@ -174,8 +186,8 @@ def test_exponential_start_keeps_the_mean(q):
 
 @pytest.mark.parametrize("q, n", [(0.6, 50), (0.75, 100), (0.9, 200)])
 def test_delta_head_matches_the_moment_trajectory(q, n):
-    # two rules for one recursion: the head steps with the 24-node folded
-    # rule, the trajectory with the 48-node spline table (agree to 1.2e-8)
+    # one rule for one recursion: the head steps with theta's folded rule
+    # at each scale, the trajectory with the spline table of the same rule
     c = la.iterate_phi(q, 0.5, 1, n, la.make_grid("delta")).series
     head = (2.0 * c[2], -6.0 * c[3], 24.0 * c[4])
     exact = mo.moment_trajectory(q, 0.5, n, kmax=4)[-1][1:]
@@ -494,11 +506,11 @@ def test_warm_recursion_step_allocates_no_product(monkeypatch):
     rule = la.theta.folded_rule
     starts, shapes = [], []
 
-    def marking(law, nodes_per_panel):
+    def marking(*args):
         if starts:
             tracemalloc.reset_peak()
         starts.append(tracemalloc.get_traced_memory()[0])
-        nodes, w = rule(law, nodes_per_panel)
+        nodes, w = rule(*args)
         shapes.append(nodes.size)
         return nodes, w
 
@@ -542,16 +554,33 @@ _ENTRY_POINTS = {
         (lambda g: la.moments_from_phi(g, kmax=2.5), "^kmax "),
         (lambda g: la.iterate_phi(0.75, 0.5, 1, 2.5, g), "^n_end "),
         (lambda g: en.paley_zygmund_bounds(g.phi, np.inf), "^p "),
-        (lambda g: la.moments_from_phi(g, 5), r"^kmax must be in 1\.\.4, got 5"),
-        (lambda g: la.iterate_phi(0.75, 0.5, 5, 3, g), "^n_end must be >= n_start = 5, got 3"),
-        (lambda g: la.stationary_residual(0.75, g, 2e3), r"^t=2000\.0 outside grid"),
+        (lambda g: la.moments_from_phi(g, 5), r"^kmax must be an integer in \[1, 4\], got 5$"),
+        (lambda g: la.iterate_phi(0.75, 0.5, 5, 3, g), "^n_end must be an integer >= 5, got 3$"),
+        # bool has __index__: unchecked, True reads as one
+        (
+            lambda g: la.moments_from_phi(g, True),
+            r"^kmax must be an integer in \[1, 4\], got True$",
+        ),
+        (
+            lambda g: la.iterate_phi(0.75, 0.5, 1, True, g),
+            "^n_end must be an integer >= 1, got True$",
+        ),
+        (
+            lambda g: la.stationary_residual(0.75, g, 2e3),
+            r"^t_point must lie in the grid \[0\.0001, 1000\.0\], got 2000\.0$",
+        ),
+        (lambda g: la.stationary_residual(0.75, g, 1e-5), "^t_point "),
+        (lambda g: la.grid_eval(g, [1.0, 0.0]), r"^args must be positive, got a minimum of 0\.0$"),
+        (lambda g: la.grid_eval(g, np.nan), "^args "),
         # the text "false" is truthy: unchecked, it takes the stationary route
         (lambda g: la.converge_grid(0.75, 0.5, refine="false", n_schedule=3), "^refine "),
         (lambda g: la.converge_grid(0.75, 0.5, refine=None, n_schedule=3), "^refine "),
     ],
     ids=[
         "moments_from_phi", "iterate_phi", "paley_zygmund_bounds", "moments_from_phi-kmax-5",
-        "iterate_phi-n_end-below-n_start", "stationary_residual-t-above-grid",
+        "iterate_phi-n_end-below-n_start", "moments_from_phi-kmax-bool", "iterate_phi-n_end-bool",
+        "stationary_residual-t-above-grid", "stationary_residual-t-below-grid",
+        "grid_eval-zero", "grid_eval-nan",
         "converge_grid-refine-text", "converge_grid-refine-none",
     ],
 )

@@ -129,6 +129,23 @@ def test_moment_trajectory_matches_per_step_recursion(q, n_max):
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "q, b, n_max", [(0.8, 0.5, 200), (2.0, 0.5, 2000), (0.55, 0.1, 500), (1.5, 2.0, 300)]
+)
+def test_angle_moment_rows_reproduce_the_rule(q, b, n_max):
+    # the spline through the table against the same rule taken directly at
+    # every scale; a grid that ended 1% below b/n_max left the rows near
+    # n_max 5.0e-8 off, padded by 10% they read at most 5.4e-9
+    rows, col = mo._angle_moments(q, b, n_max, 4)
+    for n, row in enumerate(rows, start=1):
+        nodes, w = th.folded_rule(th.ThetaLaw(b / n))
+        s2 = np.sin(nodes) ** 2
+        c2 = 1.0 - s2
+        for (j, m), i in col.items():
+            rule = (s2 ** (q * j) * c2 ** (q * m) + s2 ** (q * m) * c2 ** (q * j)) @ w
+            assert abs(row[i] / rule - 1.0) <= 1e-8, (n, j, m)
+
+
 @pytest.mark.parametrize("kmax", [1, 4])
 def test_single_scale_trajectory_needs_no_angle_moments(monkeypatch, kmax):
     calls = []

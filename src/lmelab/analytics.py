@@ -215,7 +215,16 @@ def h_exponent(q: float) -> float:
 
 
 def d_of_q(q: float, b: float) -> float:
-    """Multifractal dimension ``d(q) = b T(q)/(q-1) = b (sqrt(pi)/2) Gamma(q-1/2)/Gamma(q)``."""
+    """Multifractal dimension ``d(q) = b T(q)/(q-1) = b (sqrt(pi)/2) Gamma(q-1/2)/Gamma(q)``.
+
+    At b = 8 b_P / pi this is the small-b_P formula
+    ``d_q = 4 b_P Gamma(q-1/2) / (sqrt(pi) Gamma(q))`` for the real symmetric
+    power-law random band matrices of :mod:`lmelab.prbm` with band
+    parameter b_P (A. D. Mirlin and F. Evers, Phys. Rev. B 62, 7920
+    (2000)).  Both are linear in their coupling with the same
+    Gamma(q-1/2)/Gamma(q) profile, so the one constant 8/pi maps them at
+    every q.
+    """
     _check_q(q)
     _check_ge0("b", b)
     return b * 0.5 * _SQRT_PI * math.exp(gammaln(q - 0.5)) * float(rgamma(q))

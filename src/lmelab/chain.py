@@ -198,7 +198,7 @@ def step_scale(state: ChainState, params: RgParams, rng: np.random.Generator) ->
     greedy disjoint subset of them, update levels by continuity."""
     m = state.n + 1
     if m > params.n_max:
-        raise ValueError("chain already at n_max")
+        raise ValueError(f"state is already at n_max = {params.n_max}")
     n_sites = state.N
     E = state.E
     j_of = (np.arange(n_sites) + m) % n_sites

@@ -61,13 +61,18 @@ _tn_cache: dict[tuple[float, float], float] = {}
 _BLOCKS = 32
 # Samples per chunk of the parent and angle draws: at 2^13 each int64 index
 # or float64 draw array is 64 KiB and stays in L2 while a chunk is mixed.
-# Sized by time and peak RSS alone, on a 2-core host with the lme
-# benchmark's pool (32768 samples in 32 blocks, 199 steps, T_n cached):
-# 67-72 ns/sample at 2^10 (one block per chunk), 48-55 at 2^11, 44-50 at
-# 2^12, 38-43 at 2^13, 50-54 at 2^14 and 57-62 at 2^15, with peak RSS
-# rising from 80.3 to 82.8 MiB over that range.  Blocks larger than a chunk
-# are drawn one at a time: a whole-pool draw raised the 2^20-replica brw's
-# peak RSS from 143 to 205 MiB (8 MiB temporaries) and its wall time by 20%.
+# It also fixes lme's draw order: lme's one generator draws i, j and the
+# angles chunk by chunk, so retuning it changes every fixed-seed lme output.
+# Sized by time and peak RSS on a 2-core host with the lme benchmark's pool
+# (32768 samples in 32 blocks, 199 steps, T_n cached): 67-72 ns/sample at
+# 2^10 (one block per chunk), 48-55 at 2^11, 44-50 at 2^12, 38-43 at 2^13,
+# 50-54 at 2^14 and 57-62 at 2^15, with peak RSS rising from 80.3 to
+# 82.8 MiB over that range.  Re-measured as a single-thread step loop over
+# those 199 steps with T_n precomputed, median of 10 rounds: 517 ms at
+# 2^11, 430 at 2^12, 386 at 2^13, 410 at 2^14, 473 at 2^15.  Blocks larger
+# than a chunk are drawn one at a time: a whole-pool draw raised the
+# 2^20-replica brw's peak RSS from 143 to 205 MiB (8 MiB temporaries) and
+# its wall time by 20%.
 # brw draws each block from its own generator, so its chunks are single
 # blocks (32768 samples in its benchmark) and run on all usable cores.
 _CHUNK = 1 << 13
@@ -80,8 +85,8 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that run chunk groups: the calling thread plus a pool of
-# _WORKERS - 1, created on the first call that has more than one group.
+# Threads that run chunk groups, one task per group: a pool created on the
+# first call that has more than one group and more than one usable core.
 _WORKERS = _usable_cores()
 _executor: ThreadPoolExecutor | None = None
 
@@ -193,13 +198,12 @@ def map_chunks(size: int, rngs, kernel) -> None:
     stretches of its generator.  A one-block chunk makes exactly the two
     calls of a per-block draw.
 
-    A single generator is walked on the calling thread.  G > 1 groups are
-    dealt round-robin to L = min(``_WORKERS``, G) lanes, each running its
-    groups in order: the calling thread runs groups 0, L, 2L, ... and the
-    thread pool the other lanes.  A kernel must therefore touch only its
-    own generator and its own slice of any output, and call nothing that
-    is not thread-safe.  The call returns, or re-raises a lane's error,
-    only once every lane has finished.
+    One group, or one usable core, walks the groups in order on the
+    calling thread and starts no thread.  Otherwise every group is one task
+    on the ``_WORKERS``-thread pool, so a kernel must touch only its own
+    generator and its own slice of any output, and call nothing that is not
+    thread-safe.  The call returns, or re-raises the first group's error,
+    only once every task has finished.
     """
     global _executor
     _check_blocks("size", size, _BLOCKS)
@@ -209,30 +213,26 @@ def map_chunks(size: int, rngs, kernel) -> None:
     per_rng = _BLOCKS // len(rngs)
     per_chunk = min(max(_CHUNK // p, 1), per_rng)
 
-    def lane(first_group: int, stride: int) -> None:
-        for g in range(first_group, len(rngs), stride):
-            rng = rngs[g]
-            for first in range(g * per_rng, (g + 1) * per_rng, per_chunk):
-                nb = min(per_chunk, (g + 1) * per_rng - first)
-                lo = first * p
-                offsets = np.arange(lo, lo + nb * p, p)[:, None]
-                i = rng.integers(0, p, (nb, p))
-                j = rng.integers(0, p, (nb, p))
-                i += offsets
-                j += offsets
-                kernel(slice(lo, lo + nb * p), i.ravel(), j.ravel(), rng)
+    def group(g: int) -> None:
+        rng = rngs[g]
+        for first in range(g * per_rng, (g + 1) * per_rng, per_chunk):
+            nb = min(per_chunk, (g + 1) * per_rng - first)
+            lo = first * p
+            offsets = np.arange(lo, lo + nb * p, p)[:, None]
+            i = rng.integers(0, p, (nb, p))
+            j = rng.integers(0, p, (nb, p))
+            i += offsets
+            j += offsets
+            kernel(slice(lo, lo + nb * p), i.ravel(), j.ravel(), rng)
 
-    stride = min(_WORKERS, len(rngs))
-    if stride == 1:
-        lane(0, 1)
+    if len(rngs) == 1 or _WORKERS == 1:
+        for g in range(len(rngs)):
+            group(g)
         return
     if _executor is None:
-        _executor = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="lmelab-chunks")
-    futures = [_executor.submit(lane, k, stride) for k in range(1, stride)]
-    try:
-        lane(0, stride)
-    finally:
-        wait(futures)
+        _executor = ThreadPoolExecutor(_WORKERS, thread_name_prefix="lmelab-chunks")
+    futures = [_executor.submit(group, g) for g in range(len(rngs))]
+    wait(futures)
     for f in futures:
         f.result()
 

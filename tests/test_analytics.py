@@ -218,6 +218,16 @@ class TestD:
         lim = 0.1 * an.T_of_q(1.0 + 1e-7) / 1e-7
         assert an.d_of_q(1.0, 0.1) == pytest.approx(lim, rel=1e-6)
 
+    @pytest.mark.parametrize("b", [0.05, 0.1])
+    @pytest.mark.parametrize("q", [0.75, 1.5, 2.0, 3.0])
+    def test_prbm_small_b_formula_at_eight_b_over_pi(self, q, b):
+        # Mirlin and Evers' real-symmetric PRBM d_q = 4b Gamma(q-1/2) /
+        # (sqrt(pi) Gamma(q)), in mpmath at 30 digits
+        with mp.workdps(30):
+            want = 4 * mp.mpf(b) * mp.gamma(mp.mpf(q) - 0.5) / (mp.sqrt(mp.pi) * mp.gamma(q))
+        got = an.d_of_q(q, 8 * b / math.pi)
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
 
 class TestHExponent:
     def test_scan_oracle_at_three(self):

@@ -253,7 +253,7 @@ class TestRunFlow:
         params = ch.RgParams(N=64, b=0.3, n_max=1, seed=1)
         rng = rng_for(12)
         state = ch.step_scale(ch.init_chain(64, rng), params, rng)
-        with pytest.raises(ValueError, match="chain already at n_max"):
+        with pytest.raises(ValueError, match=r"^state is already at n_max = 1$"):
             ch.step_scale(state, params, rng)
 
     @pytest.mark.parametrize("field", ["n_max", "replicas"])

@@ -231,7 +231,7 @@ class TestStep:
 
 
 class TestMapChunks:
-    def test_worker_error_reaches_caller_once_every_lane_is_done(
+    def test_worker_error_reaches_caller_once_every_task_is_done(
         self, monkeypatch, chunk_workers
     ):
         futures = []
@@ -242,24 +242,27 @@ class TestMapChunks:
                 return futures[-1]
 
         chunk_workers(3)
-        monkeypatch.setattr(en, "_executor", Recording(2))
+        monkeypatch.setattr(en, "_executor", Recording(3))
         caller = threading.get_ident()
         rngs = [derive_stream(0, (DOMAIN_TEST, 1, g)) for g in range(8)]
+        slept = []
 
         def kernel(sl, i, j, rng):
-            # 8 groups of 4 blocks of 100 samples in 3 lanes: group 1 opens
-            # lane 1 and fails at once; lane 2 (groups 2 and 5) is still
-            # working then
+            # 8 groups of 4 blocks of 100 samples, one task each on 3
+            # threads: group 1 fails at once, while group 2 sleeps and
+            # group 7, the last task, has yet to run and sleep
+            assert threading.get_ident() != caller
             if sl.start == 400:
-                assert threading.get_ident() != caller
                 raise ZeroDivisionError("in a worker")
-            if sl.start in (800, 2000):
+            if sl.start in (800, 2800):
                 time.sleep(0.05)
+                slept.append(sl.start)
 
         with pytest.raises(ZeroDivisionError, match="in a worker"):
             en.map_chunks(3200, rngs, kernel)
-        assert len(futures) == 2
+        assert len(futures) == 8
         assert all(f.done() for f in futures)
+        assert sorted(slept) == [800, 2800]
 
     @pytest.mark.parametrize(
         "take_step",
@@ -311,6 +314,24 @@ class TestMapChunks:
 
         en.map_chunks(size, rngs, kernel)
         assert np.array_equal(out, np.ones(size))
+
+    def test_step_with_four_generators_matches_one_thread(self, chunk_workers):
+        # 32 blocks of 1000 in 4 groups of 8 blocks, each group one chunk
+        # and one task on the 3-thread pool
+        x = derive_stream(5, (DOMAIN_TEST, 10)).lognormal(size=32_000)
+        t_n = en.exact_Tn(0.75, 0.1)
+
+        def take_step():
+            rngs = [derive_stream(5, (DOMAIN_TEST, 11, g)) for g in range(4)]
+            return en.step(x, 0.75, 0.1, t_n, rngs)
+
+        chunk_workers(1)
+        one = take_step()
+        assert en._executor is None
+        chunk_workers(3)
+        three = take_step()
+        assert en._executor is not None  # the pool did run
+        assert np.array_equal(one, three)
 
     def test_lme_run_starts_no_thread(self, chunk_workers):
         chunk_workers(2)
